@@ -1,5 +1,5 @@
-//! Per-transition sampling cost: O(1) alias method vs O(log nnz_row)
-//! inverse-CDF binary search, chain-following over Table-1-class operators.
+//! Per-transition sampling cost of the O(1) alias method, chain-following
+//! over Table-1-class operators.
 //!
 //! Each bench iteration advances a persistent random walk by `STEPS`
 //! transitions (absorbing rows restart the chain), so the printed time is
@@ -24,29 +24,23 @@ fn bench_sampling(c: &mut Criterion) {
     ];
     for (name, a) in cases {
         let w = WalkMatrix::from_perturbed(&a, 0.5);
-        for (sampler, alias) in [("alias", true), ("invcdf", false)] {
-            let mut rng = ChaCha8Rng::seed_from_u64(42);
-            let mut k = 0usize;
-            group.bench_function(BenchmarkId::new(sampler, name), |b| {
-                b.iter(|| {
-                    for _ in 0..STEPS {
-                        let (rs, re) = w.row_range(k);
-                        if rs == re {
-                            k = 0;
-                            continue;
-                        }
-                        let (j, mult) = if alias {
-                            w.sample_transition(k, &mut rng)
-                        } else {
-                            w.sample_transition_invcdf(k, &mut rng)
-                        };
-                        black_box(mult);
-                        k = j;
+        let mut rng = ChaCha8Rng::seed_from_u64(42);
+        let mut k = 0usize;
+        group.bench_function(BenchmarkId::new("alias", name), |b| {
+            b.iter(|| {
+                for _ in 0..STEPS {
+                    let (rs, re) = w.row_range(k);
+                    if rs == re {
+                        k = 0;
+                        continue;
                     }
-                    k
-                });
+                    let (j, mult) = w.sample_transition(k, &mut rng);
+                    black_box(mult);
+                    k = j;
+                }
+                k
             });
-        }
+        });
     }
     group.finish();
 }

@@ -9,7 +9,7 @@
 
 use crate::compress::{CompressionPolicy, CompressionReport};
 use crate::params::McmcParams;
-use crate::walk::{RowWalkStats, SoaBatch, WalkEngine, WalkMatrix};
+use crate::walk::{RowWalkStats, WalkMatrix};
 use mcmcmi_krylov::SparsePrecond;
 use mcmcmi_sparse::Csr;
 use rayon::prelude::*;
@@ -20,10 +20,6 @@ use serde::{Deserialize, Serialize};
 pub(crate) struct RowWorkspace {
     pub scratch: Vec<f64>,
     pub touched: Vec<usize>,
-    /// Lockstep lane batch for the SoA engine (unused by the scalar one);
-    /// lives in the workspace so its lane arrays and journals are likewise
-    /// allocated once per worker.
-    pub batch: SoaBatch,
 }
 
 impl RowWorkspace {
@@ -31,7 +27,6 @@ impl RowWorkspace {
         Self {
             scratch: vec![0.0; n],
             touched: Vec::with_capacity(64),
-            batch: SoaBatch::new(),
         }
     }
 
@@ -61,10 +56,6 @@ pub struct BuildConfig {
     /// RNG seed; each chain derives an independent `(seed, row, chain)`
     /// stream from it.
     pub seed: u64,
-    /// Which walk engine estimates rows. Output is bit-identical either
-    /// way; the lockstep SoA engine (default) has higher transition
-    /// throughput, the scalar engine is kept as the reference.
-    pub engine: WalkEngine,
 }
 
 impl Default for BuildConfig {
@@ -74,7 +65,6 @@ impl Default for BuildConfig {
             trunc_threshold: 1e-9,
             max_walk_len: 10_000,
             seed: 0,
-            engine: WalkEngine::Soa,
         }
     }
 }
@@ -183,27 +173,15 @@ fn estimate_row(
     budget: usize,
     ws: &mut RowWorkspace,
 ) -> RowOut {
-    let stats = match cfg.engine {
-        WalkEngine::Scalar => walk.walk_row(
-            i,
-            chains,
-            delta,
-            cfg.max_walk_len,
-            cfg.seed,
-            &mut ws.scratch,
-            &mut ws.touched,
-        ),
-        WalkEngine::Soa => walk.walk_row_soa(
-            i,
-            chains,
-            delta,
-            cfg.max_walk_len,
-            cfg.seed,
-            &mut ws.batch,
-            &mut ws.scratch,
-            &mut ws.touched,
-        ),
-    };
+    let stats = walk.walk_row(
+        i,
+        chains,
+        delta,
+        cfg.max_walk_len,
+        cfg.seed,
+        &mut ws.scratch,
+        &mut ws.touched,
+    );
     // Harvest: P row = (tally/chains) scaled by the inverse diagonal
     // (column scaling). `touched` may contain duplicates when weight
     // cancellation zeroes an entry that is later revisited — dedup first.

@@ -13,9 +13,8 @@
 //!
 //! Walks run embarrassingly parallel across rows (Rayon) with deterministic
 //! per-`(seed, row, chain)` RNG streams, so a build is bit-reproducible for
-//! any thread count. Within a row, chains execute on either of two
-//! bit-identical engines ([`WalkEngine`]): the scalar reference loop or the
-//! default lockstep SoA lane batch (see [`walk`] for the engine contract).
+//! any thread count. Within a row, chains run one after another through
+//! the single walk loop [`WalkMatrix::walk_row`] (see [`walk`]).
 //! The regenerative single-budget variant (Ghosh et al., SIMAX'25) ships as
 //! an extension in [`regenerative`].
 
@@ -33,4 +32,4 @@ pub use params::McmcParams;
 pub use recover::{PartialRefresher, SafeguardedRebuilder};
 pub use regenerative::{regenerative_inverse, RegenerativeConfig};
 pub use safeguard::{BuildAttempt, BuildError, SafeguardConfig, SafeguardedBuild};
-pub use walk::{RowWalkStats, SoaBatch, WalkEngine, WalkMatrix, MAX_LANES};
+pub use walk::{RowWalkStats, WalkMatrix};

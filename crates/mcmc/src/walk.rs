@@ -19,9 +19,7 @@
 //! the slot's cutoff, replacing the O(log nnz_row) binary search of
 //! inverse-CDF sampling. Slots are packed to 12 bytes (cutoff, donor,
 //! column+sign) so a transition resolves in one or two cache-line touches
-//! with no floating-point arithmetic. The inverse-CDF path is retained as
-//! [`WalkMatrix::sample_transition_invcdf`] purely as a reference/baseline
-//! for benchmarks and distribution-equivalence tests.
+//! with no floating-point arithmetic.
 //!
 //! Alias construction (Vose's stable variant): scale the row's MAO
 //! probabilities by the row length `m` so they average 1, split the entries
@@ -39,79 +37,26 @@
 //! stream per transition, and the stream is keyed by `(seed, row, chain)`
 //! only. The result of a build is therefore bit-identical for any thread
 //! count or scheduling order (`RAYON_NUM_THREADS=1` vs `=8` produce equal
-//! preconditioners; see `tests/determinism.rs`) — and, because the streams
-//! are per *chain* rather than per row, independent of how chains are
-//! scheduled onto lanes inside a row. Note the alias and inverse-CDF
-//! samplers realise the *same distribution* but map uniform draws to states
-//! differently, so swapping samplers changes individual walk trajectories
-//! while leaving all estimator statistics intact.
+//! preconditioners; see `tests/determinism.rs`).
 //!
-//! # Engines: scalar reference vs lockstep SoA
+//! # One walk loop
 //!
-//! Two interchangeable walk engines implement the estimator:
-//!
-//! * [`WalkEngine::Scalar`] — one chain at a time, the straightforward
-//!   reference loop ([`WalkMatrix::walk_row`]).
-//! * [`WalkEngine::Soa`] (default) — a lockstep structure-of-arrays batch
-//!   ([`WalkMatrix::walk_row_soa`]): the row's O(10³) chains stream through
-//!   a window of [`MAX_LANES`] lanes held in parallel weight/step/RNG/
-//!   row-cursor arrays, stepped together. Each lockstep round sweeps the
-//!   live lanes once — one `u64` draw, a branchless alias pick (the coin
-//!   selects between slot and donor by conditional move, then a single
-//!   unconditional load), the weight update, and the per-lane journal
-//!   append — retiring finished lanes by swap-compaction and regenerating
-//!   freed lanes from the row's pending chains at the end of the round.
-//!   Lanes carry their row cursor (alias-table offset, width, row sum) so
-//!   the steady-state loop touches only lane arrays and the alias table.
-//!   Breaking the scalar loop's serial draw→lookup→branch dependency chain
-//!   exposes instruction-level and memory-level parallelism (many
-//!   independent alias-table fetches in flight), which is where the
-//!   speed-up comes from on working sets beyond the cache hierarchy — and
-//!   the lane layout is exactly what a SIMD/GPU port would vectorise.
-//!
-//! The SoA engine is **bit-identical** to the scalar engine: chains draw
-//! from the same per-`(seed, row, chain)` streams regardless of lane
-//! scheduling, and lane contributions are journalled per chain and flushed
-//! into the dense tally in chain order, replaying the scalar engine's exact
-//! sequence of floating-point adds (FP addition is not associative, so the
-//! flush order — not just the set of contributions — must match). Rows,
-//! not lanes, are sharded across rayon workers, so `rebuild_rows` and
-//! `build_safeguarded` ride on either engine unchanged.
+//! [`WalkMatrix::walk_row`] runs a row's chains one after another and is
+//! the only walk loop: every build, partial rebuild, safeguarded build and
+//! tuner trial goes through it. At the paper's parameters (δ ≥ 1/16) a
+//! chain is about three transitions long, so per-chain bookkeeping, not
+//! the alias-table fetch, bounds the loop, and a lockstep lane-batched loop
+//! measures slower at every workload point (README, "Walk engine").
 
 use mcmcmi_sparse::Csr;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
-/// Which engine runs the row walks. Both produce **bit-identical** output
-/// (same per-`(seed, row, chain)` streams, same floating-point add order);
-/// they differ only in throughput and memory access pattern.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WalkEngine {
-    /// One chain at a time — the reference implementation
-    /// ([`WalkMatrix::walk_row`]).
-    Scalar,
-    /// Lockstep structure-of-arrays lane batch
-    /// ([`WalkMatrix::walk_row_soa`]) — the default build path.
-    #[default]
-    Soa,
-}
-
-/// Lane-window width for the lockstep SoA engine. A row's whole O(10³)
-/// chain population (1138 at the paper's ε = 0.02) streams through this
-/// many concurrent lanes; finished lanes are swap-retired and refilled, so
-/// the batch, not the window, is what gets walked per step. Sized so one
-/// worker's lane state (weight/steps/chain/RNG/row-cursor arrays plus the
-/// hot journal tails, ≈ 60 B per lane) stays L1-resident while still
-/// keeping hundreds of independent alias-table fetches in flight per
-/// round.
-pub const MAX_LANES: usize = 256;
-
-/// Deterministic stream for chain `chain` of row `row`: both engines draw
-/// every transition of that chain from this exact stream, so the estimate
-/// is independent of engine choice, thread count, and lane scheduling.
+/// Deterministic stream for chain `chain` of row `row`: every transition
+/// of that chain draws from this exact stream, so the estimate is
+/// independent of thread count and scheduling.
 #[inline]
-pub(crate) fn chain_rng(seed: u64, row: usize, chain: usize) -> ChaCha8Rng {
+fn chain_rng(seed: u64, row: usize, chain: usize) -> ChaCha8Rng {
     let h = seed
         ^ 0x9e3779b97f4a7c15u64.wrapping_mul(row as u64 + 1)
         ^ 0x94d049bb133111ebu64.wrapping_mul(chain as u64 + 1);
@@ -120,17 +65,13 @@ pub(crate) fn chain_rng(seed: u64, row: usize, chain: usize) -> ChaCha8Rng {
 
 /// The Jacobi-splitting iteration matrix `C = I − D̂⁻¹Â` in walk-ready form:
 /// per row, the column indices, signed values, a Walker/Vose alias table for
-/// O(1) sampling (plus the cumulative |value| table for the reference
-/// inverse-CDF path), and the absolute row sum.
+/// O(1) sampling, and the absolute row sum.
 #[derive(Clone, Debug)]
 pub struct WalkMatrix {
     n: usize,
     indptr: Vec<usize>,
     cols: Vec<usize>,
     vals: Vec<f64>,
-    /// Cumulative |vals| within each row — reference inverse-CDF sampler
-    /// only (benchmark baseline and distribution cross-checks).
-    cum: Vec<f64>,
     /// Packed alias table, one slot per entry (aligned with `cols`).
     alias: Vec<AliasSlot>,
     /// Absolute row sums `S_k` (the weight multiplier magnitude).
@@ -250,7 +191,6 @@ impl WalkMatrix {
             "WalkMatrix: dimension exceeds 2^31 − 1 (alias slots pack the \
              column and sign into one u32)"
         );
-        let mut cum = Vec::new();
         let mut alias = Vec::new();
         let mut rowsum = Vec::with_capacity(n);
         let mut inv_diag = Vec::with_capacity(n);
@@ -287,7 +227,6 @@ impl WalkMatrix {
                     cols.push(j);
                     vals.push(c);
                     s += c.abs();
-                    cum.push(s);
                 }
             }
             if cols.len() > row_start {
@@ -302,7 +241,6 @@ impl WalkMatrix {
             indptr,
             cols,
             vals,
-            cum,
             alias,
             rowsum,
             inv_diag,
@@ -416,20 +354,6 @@ impl WalkMatrix {
         self.step(k, rng).expect("sample_transition: absorbing row")
     }
 
-    /// Reference O(log nnz_row) sampler: inverse-CDF binary search on the
-    /// cumulative table. Same distribution as [`WalkMatrix::sample_transition`]
-    /// (and the same single uniform draw), different draw→state mapping.
-    /// Kept as the benchmark baseline — the production walk loop uses the
-    /// alias path.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the row is absorbing.
-    #[inline]
-    pub fn sample_transition_invcdf<R: Rng>(&self, k: usize, rng: &mut R) -> (usize, f64) {
-        self.step_invcdf(k, rng)
-            .expect("sample_transition_invcdf: absorbing row")
-    }
-
     /// Sample the next state from row `k` via the alias table; returns
     /// `(next_state, signed weight multiplier)` or `None` on absorption.
     /// One `u64` draw, split into disjoint bit ranges: the high 32 bits
@@ -442,17 +366,7 @@ impl WalkMatrix {
         if rs == re {
             return None;
         }
-        Some(self.resolve_draw(k, rng.next_u64()))
-    }
-
-    /// Map one raw 64-bit draw to a transition out of non-absorbing row
-    /// `k`: `(next_state, signed weight multiplier)`. Shared by the scalar
-    /// sampler and the SoA gather pass, so both engines turn identical
-    /// draws into identical transitions.
-    #[inline]
-    pub(crate) fn resolve_draw(&self, k: usize, r: u64) -> (usize, f64) {
-        let (rs, re) = (self.indptr[k], self.indptr[k + 1]);
-        debug_assert!(re > rs, "resolve_draw: absorbing row");
+        let r = rng.next_u64();
         let m = (re - rs) as u64;
         let idx = (((r >> 32) * m) >> 32) as usize;
         let coin = r as u32;
@@ -468,26 +382,7 @@ impl WalkMatrix {
         } else {
             -s
         };
-        ((chosen.col_sign & !SIGN_BIT) as usize, mult)
-    }
-
-    /// Inverse-CDF sampling (binary search on the cumulative table).
-    #[inline]
-    fn step_invcdf<R: Rng>(&self, k: usize, rng: &mut R) -> Option<(usize, f64)> {
-        let (rs, re) = (self.indptr[k], self.indptr[k + 1]);
-        if rs == re {
-            return None;
-        }
-        let s = self.rowsum[k];
-        let u: f64 = rng.gen::<f64>() * s;
-        let row_cum = &self.cum[rs..re];
-        let idx = match row_cum.binary_search_by(|c| c.partial_cmp(&u).unwrap()) {
-            Ok(i) => (i + 1).min(row_cum.len() - 1),
-            Err(i) => i.min(row_cum.len() - 1),
-        };
-        let j = self.cols[rs + idx];
-        let mult = self.vals[rs + idx].signum() * s;
-        Some((j, mult))
+        Some(((chosen.col_sign & !SIGN_BIT) as usize, mult))
     }
 
     /// Run `n_chains` walks from row `i`, accumulating weight tallies into
@@ -511,8 +406,7 @@ impl WalkMatrix {
         let mut stats = RowWalkStats::default();
         const BLOWUP: f64 = 1e12;
         for chain in 0..n_chains {
-            // Per-chain deterministic stream: independent of scheduling,
-            // and of how the SoA engine maps chains onto lanes.
+            // Per-chain deterministic stream: independent of scheduling.
             let mut rng = chain_rng(seed, i, chain);
             let mut k = i;
             let mut w = 1.0f64;
@@ -550,281 +444,6 @@ impl WalkMatrix {
             }
         }
         stats
-    }
-
-    /// Lockstep SoA twin of [`WalkMatrix::walk_row`]: identical signature
-    /// (plus the reusable [`SoaBatch`]), **bit-identical** tallies and
-    /// statistics, batched execution.
-    ///
-    /// Up to [`MAX_LANES`] chains of row `i` run concurrently as lanes of
-    /// parallel weight/step/row-constant arrays. The scalar loop is a
-    /// pointer chase — each transition's alias-slot load depends on the
-    /// previous transition's outcome, so on operators whose tables exceed
-    /// the cache working set every step eats a full miss latency, and the
-    /// alias coin flip is an inherently unpredictable branch whose
-    /// mispredictions flush whatever memory parallelism the core had
-    /// extracted. The lockstep round fixes both: consecutive loop
-    /// iterations belong to *different* lanes, so their alias gathers are
-    /// mutually independent and overlap, and the coin flip compiles to a
-    /// conditional move between the primary slot index and its donor — no
-    /// branch at all. Each lane carries its current row's constants
-    /// (flat-array offset, width, absolute row sum), gathered one round
-    /// early when the lane advanced, so a transition touches no `indptr`
-    /// re-loads on the critical path. Retired lanes (truncation `|W| < δ`,
-    /// blowup, step cap, absorption — the latter two checked *after* the
-    /// tally, in the scalar loop's order, and consuming no RNG word)
-    /// swap-compact away and immediately regenerate as the row's next
-    /// pending chains, re-seeding their per-lane stream in place.
-    ///
-    /// Contributions are journalled per chain and flushed into `scratch`
-    /// in chain order afterwards, replaying the scalar engine's exact
-    /// floating-point add sequence (FP addition is non-associative, so
-    /// flushing in lane-interleaved order would change low-order bits).
-    pub fn walk_row_soa(
-        &self,
-        i: usize,
-        n_chains: usize,
-        delta: f64,
-        max_len: usize,
-        seed: u64,
-        batch: &mut SoaBatch,
-        scratch: &mut [f64],
-        touched: &mut Vec<usize>,
-    ) -> RowWalkStats {
-        debug_assert_eq!(scratch.len(), self.n);
-        let mut stats = RowWalkStats::default();
-        const BLOWUP: f64 = 1e12;
-        if n_chains == 0 {
-            return stats;
-        }
-
-        let row_rs = self.indptr[i];
-        let row_re = self.indptr[i + 1];
-        // Absorbing start row or zero step cap: every chain tallies its
-        // step-0 contribution and ends without drawing — the scalar loop
-        // takes the same exit before its first draw, cap counted first.
-        if row_rs == row_re || max_len == 0 {
-            for _ in 0..n_chains {
-                if scratch[i] == 0.0 {
-                    touched.push(i);
-                }
-                scratch[i] += 1.0;
-            }
-            if max_len == 0 {
-                stats.capped = n_chains;
-            }
-            return stats;
-        }
-
-        let lanes = n_chains.min(MAX_LANES);
-        batch.reset(n_chains, lanes);
-        let row_width = (row_re - row_rs) as u32;
-        let row_srow = self.rowsum[i];
-        for lane in 0..lanes {
-            batch.weight[lane] = 1.0;
-            batch.chain[lane] = lane as u32;
-            batch.rng[lane] = chain_rng(seed, i, lane);
-            batch.rs[lane] = row_rs;
-            batch.width[lane] = row_width;
-            batch.srow[lane] = row_srow;
-            // Step 0 contribution of chain `lane`.
-            batch.logs[lane].push((i as u32, 1.0));
-        }
-        let mut next_chain = lanes;
-        let mut n_active = lanes;
-
-        // Loop invariant: every active lane sits on a non-absorbing state
-        // with `steps < max_len` and carries that state's row constants
-        // (`rs`/`width`/`srow`), so every round draws for every lane.
-        while n_active > 0 {
-            let mut l = 0;
-            while l < n_active {
-                let r = batch.rng[l].next_u64();
-                let rs = batch.rs[l];
-                let idx = (((r >> 32) * batch.width[l] as u64) >> 32) as usize;
-                let slot = self.alias[rs + idx];
-                // Branchless coin: a conditional move between the primary
-                // index and its donor, then one unconditional load (a
-                // cache hit on acceptance — same line as `slot`).
-                let pick = if (r as u32) < slot.prob {
-                    idx
-                } else {
-                    slot.alias as usize
-                };
-                let chosen = self.alias[rs + pick];
-                let s = batch.srow[l];
-                let mult = if chosen.col_sign & SIGN_BIT == 0 {
-                    s
-                } else {
-                    -s
-                };
-                let j = (chosen.col_sign & !SIGN_BIT) as usize;
-                let w = batch.weight[l] * mult;
-                batch.weight[l] = w;
-                batch.steps[l] += 1;
-                stats.transitions += 1;
-                if w.abs() < delta {
-                    n_active -= 1;
-                    batch.retire_lane(l, n_active);
-                    continue;
-                }
-                if w.abs() > BLOWUP || !w.is_finite() {
-                    stats.blown_up += 1;
-                    n_active -= 1;
-                    batch.retire_lane(l, n_active);
-                    continue;
-                }
-                batch.logs[batch.chain[l] as usize].push((j as u32, w));
-                // The scalar loop's next iteration checks the cap first,
-                // then absorption — replicate that order. Both retire
-                // without consuming a draw, exactly like the scalar exit.
-                if (batch.steps[l] as usize) >= max_len {
-                    stats.capped += 1;
-                    n_active -= 1;
-                    batch.retire_lane(l, n_active);
-                    continue;
-                }
-                let nrs = self.indptr[j];
-                let nre = self.indptr[j + 1];
-                if nrs == nre {
-                    // Absorbed: chain ends with no draw next round.
-                    n_active -= 1;
-                    batch.retire_lane(l, n_active);
-                    continue;
-                }
-                batch.rs[l] = nrs;
-                batch.width[l] = (nre - nrs) as u32;
-                batch.srow[l] = self.rowsum[j];
-                l += 1;
-            }
-            // Regenerate freed lanes into the next pending chains; their
-            // first draw happens next round.
-            while n_active < lanes && next_chain < n_chains {
-                let l = n_active;
-                batch.weight[l] = 1.0;
-                batch.steps[l] = 0;
-                batch.chain[l] = next_chain as u32;
-                batch.rng[l] = chain_rng(seed, i, next_chain);
-                batch.rs[l] = row_rs;
-                batch.width[l] = row_width;
-                batch.srow[l] = row_srow;
-                batch.logs[next_chain].push((i as u32, 1.0));
-                next_chain += 1;
-                n_active += 1;
-            }
-        }
-
-        // Chain-major flush: the scalar engine's exact FP-add sequence.
-        for log in batch.logs[..n_chains].iter() {
-            for &(j, w) in log {
-                let j = j as usize;
-                if scratch[j] == 0.0 {
-                    touched.push(j);
-                }
-                scratch[j] += w;
-            }
-        }
-        stats
-    }
-}
-
-/// Reusable lockstep lane-batch state for [`WalkMatrix::walk_row_soa`] —
-/// one per worker (like the dense scratch in the builder), so the lane
-/// arrays, the per-round draw block, and the per-chain contribution
-/// journals are allocated once and recycled across rows.
-#[derive(Default)]
-pub struct SoaBatch {
-    /// Current state (row of `C`) per lane.
-    pub(crate) state: Vec<u32>,
-    /// Current chain weight per lane.
-    pub(crate) weight: Vec<f64>,
-    /// Steps taken by the lane's chain so far.
-    pub(crate) steps: Vec<u32>,
-    /// Chain id owning each lane (indexes `logs`; in the regenerative
-    /// engine, the lane's RNG *slot*).
-    pub(crate) chain: Vec<u32>,
-    /// RNG streams (`chain_rng`), positioned mid-stream. The walk engine
-    /// keeps one per *lane*, re-seeded in place on regeneration, so the
-    /// draw pass streams sequentially; the regenerative engine sizes this
-    /// per chain-slot and indexes it through `chain`.
-    pub(crate) rng: Vec<ChaCha8Rng>,
-    /// The contiguous per-round draw block, one `u64` per active lane
-    /// (regenerative engine only; the walk engine consumes each draw
-    /// in-register).
-    pub(crate) draws: Vec<u64>,
-    /// Row constants of the lane's current state, carried across rounds
-    /// so each transition gathers them one round early: flat-array start
-    /// of the row...
-    pub(crate) rs: Vec<usize>,
-    /// ...its entry count...
-    pub(crate) width: Vec<u32>,
-    /// ...and its absolute row sum (the weight multiplier magnitude).
-    pub(crate) srow: Vec<f64>,
-    /// Per-chain contribution journal `(state, weight)` in step order.
-    pub(crate) logs: Vec<Vec<(u32, f64)>>,
-}
-
-impl SoaBatch {
-    /// Fresh (empty) batch; arrays grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Size the lane arrays for a row of `n_chains` chains run on `lanes`
-    /// lanes, clearing the journals while keeping their capacity.
-    pub(crate) fn reset(&mut self, n_chains: usize, lanes: usize) {
-        self.state.clear();
-        self.state.resize(lanes, 0);
-        self.weight.clear();
-        self.weight.resize(lanes, 0.0);
-        self.steps.clear();
-        self.steps.resize(lanes, 0);
-        self.chain.clear();
-        self.chain.resize(lanes, 0);
-        self.draws.clear();
-        self.draws.resize(lanes, 0);
-        self.rs.clear();
-        self.rs.resize(lanes, 0);
-        self.width.clear();
-        self.width.resize(lanes, 0);
-        self.srow.clear();
-        self.srow.resize(lanes, 0.0);
-        // One RNG per lane (callers seed them); one journal per chain,
-        // with the journals pooling their buffers across rows.
-        self.rng.clear();
-        self.rng.resize(lanes, ChaCha8Rng::seed_from_u64(0));
-        if self.logs.len() < n_chains {
-            self.logs.resize_with(n_chains, Vec::new);
-        }
-        for log in self.logs[..n_chains].iter_mut() {
-            log.clear();
-        }
-    }
-
-    /// Swap two lanes across the regenerative engine's parallel arrays
-    /// (`draws` included: the retire passes pull the yet-unprocessed tail
-    /// lane — and its draw — into the freed slot). The RNG array is *not*
-    /// swapped: that engine addresses it through the `chain` slot ids,
-    /// which travel with the lanes.
-    #[inline]
-    pub(crate) fn swap_lanes(&mut self, a: usize, b: usize) {
-        self.state.swap(a, b);
-        self.weight.swap(a, b);
-        self.steps.swap(a, b);
-        self.chain.swap(a, b);
-        self.draws.swap(a, b);
-    }
-
-    /// Retire lane `a` in the walk engine by pulling in tail lane `b`:
-    /// everything the round still reads for the pulled-in lane must
-    /// travel — the carried row constants and the per-lane RNG stream.
-    #[inline]
-    pub(crate) fn retire_lane(&mut self, a: usize, b: usize) {
-        self.swap_lanes(a, b);
-        self.rng.swap(a, b);
-        self.rs.swap(a, b);
-        self.width.swap(a, b);
-        self.srow.swap(a, b);
     }
 }
 
@@ -1053,8 +672,8 @@ mod tests {
 
     #[test]
     fn alias_sampler_passes_chi_square_against_mao_distribution() {
-        // One heavily skewed 10-entry row; both samplers must match the MAO
-        // distribution |c_kj|/S_k. χ²₀.₉₉₉(9 dof) = 27.88.
+        // One heavily skewed 10-entry row; the alias sampler must match the
+        // MAO distribution |c_kj|/S_k. χ²₀.₉₉₉(9 dof) = 27.88.
         let n = 11;
         let mut coo = Coo::new(n, n);
         coo.push(0, 0, 20.0);
@@ -1072,77 +691,21 @@ mod tests {
         let s = w.rowsum(0);
         let draws = 200_000usize;
 
-        let chi2 = |sampler: &dyn Fn(&WalkMatrix, &mut ChaCha8Rng) -> (usize, f64)| {
-            let mut rng = ChaCha8Rng::seed_from_u64(12345);
-            let mut counts = vec![0usize; n];
-            for _ in 0..draws {
-                let (j, mult) = sampler(&w, &mut rng);
-                assert!((mult.abs() - s).abs() < 1e-15);
-                counts[j] += 1;
-            }
-            let mut stat = 0.0;
-            for e in 0..m {
-                let p = w.vals[rs + e].abs() / s;
-                let expected = p * draws as f64;
-                let d = counts[w.cols[rs + e]] as f64 - expected;
-                stat += d * d / expected;
-            }
-            stat
-        };
-
-        let chi2_alias = chi2(&|w, rng| w.sample_transition(0, rng));
-        let chi2_invcdf = chi2(&|w, rng| w.sample_transition_invcdf(0, rng));
-        assert!(chi2_alias < 27.88, "alias χ² = {chi2_alias}");
-        assert!(chi2_invcdf < 27.88, "invcdf χ² = {chi2_invcdf}");
-    }
-
-    #[test]
-    fn alias_and_invcdf_estimators_agree_statistically() {
-        // Same Neumann-series target through both samplers on a branching
-        // ring: the estimators must agree within Monte Carlo error even
-        // though individual trajectories differ draw-by-draw.
-        let nn = 4usize;
-        let mut coo = Coo::new(nn, nn);
-        for i in 0..nn {
-            coo.push(i, i, 3.0);
-            coo.push(i, (i + 1) % nn, -1.0);
-            coo.push(i, (i + 3) % nn, -0.5);
+        let mut rng = ChaCha8Rng::seed_from_u64(12345);
+        let mut counts = vec![0usize; n];
+        for _ in 0..draws {
+            let (j, mult) = w.sample_transition(0, &mut rng);
+            assert!((mult.abs() - s).abs() < 1e-15);
+            counts[j] += 1;
         }
-        let w = WalkMatrix::from_perturbed(&coo.to_csr(), 0.5);
-        let chains = 100_000usize;
-        let delta = 1e-4f64;
-
-        // Alias path through the production walk loop.
-        let mut scratch = vec![0.0; nn];
-        let mut touched = Vec::new();
-        w.walk_row(0, chains, delta, 10_000, 9, &mut scratch, &mut touched);
-
-        // Inverse-CDF path, replicating walk_row's contribution rule.
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let mut scratch_inv = vec![0.0; nn];
-        for _ in 0..chains {
-            let mut k = 0usize;
-            let mut wgt = 1.0f64;
-            scratch_inv[k] += wgt;
-            loop {
-                let (rs, re) = w.row_range(k);
-                if rs == re {
-                    break;
-                }
-                let (j, mult) = w.sample_transition_invcdf(k, &mut rng);
-                wgt *= mult;
-                k = j;
-                if wgt.abs() < delta {
-                    break;
-                }
-                scratch_inv[k] += wgt;
-            }
+        let mut chi2 = 0.0;
+        for e in 0..m {
+            let p = w.vals[rs + e].abs() / s;
+            let expected = p * draws as f64;
+            let d = counts[w.cols[rs + e]] as f64 - expected;
+            chi2 += d * d / expected;
         }
-        for j in 0..nn {
-            let a = scratch[j] / chains as f64;
-            let b = scratch_inv[j] / chains as f64;
-            assert!((a - b).abs() < 0.02, "col {j}: alias {a} vs invcdf {b}");
-        }
+        assert!(chi2 < 27.88, "alias χ² = {chi2}");
     }
 
     #[test]
@@ -1163,245 +726,6 @@ mod tests {
         );
         // And the boundary itself is fine.
         assert_row_width(u32::MAX as usize);
-    }
-
-    /// The SoA engine must reproduce the scalar engine **bit for bit**:
-    /// identical scratch tallies (FP add order included), identical touched
-    /// discovery order, identical stats — across branching structure,
-    /// absorbing rows, step caps, blow-ups, and chain counts on both sides
-    /// of the lane cap (n_chains > MAX_LANES exercises lane regeneration).
-    #[test]
-    fn soa_engine_bit_identical_to_scalar() {
-        let mats = [
-            mcmcmi_matgen::pdd_real_sparse(64, 7),
-            mcmcmi_matgen::fd_laplace_2d(8),
-            mcmcmi_matgen::unsteady_adv_diff(8, mcmcmi_matgen::AdvDiffOrder::One),
-        ];
-        let mut batch = SoaBatch::new();
-        for (mi, a) in mats.iter().enumerate() {
-            let w = WalkMatrix::from_perturbed(a, 0.5);
-            let n = w.dim();
-            // max_len = 3 forces capped retirement through pass 1.
-            for (chains, delta, max_len) in [
-                (1usize, 1e-6, 10_000usize),
-                (37, 1e-4, 10_000),
-                (1500, 1e-3, 3),
-            ] {
-                let seed = 1000 + mi as u64;
-                let mut s_ref = vec![0.0; n];
-                let mut t_ref = Vec::new();
-                let st_ref = w.walk_row(0, chains, delta, max_len, seed, &mut s_ref, &mut t_ref);
-                let mut s_soa = vec![0.0; n];
-                let mut t_soa = Vec::new();
-                let st_soa = w.walk_row_soa(
-                    0, chains, delta, max_len, seed, &mut batch, &mut s_soa, &mut t_soa,
-                );
-                assert_eq!(s_ref, s_soa, "matrix {mi}, chains {chains}: tallies differ");
-                assert_eq!(t_ref, t_soa, "matrix {mi}, chains {chains}: touched differ");
-                assert_eq!(st_ref.transitions, st_soa.transitions);
-                assert_eq!(st_ref.capped, st_soa.capped);
-                assert_eq!(st_ref.blown_up, st_soa.blown_up);
-            }
-        }
-    }
-
-    #[test]
-    fn soa_engine_matches_scalar_on_blowups() {
-        // Divergent splitting: every chain blows up. Stats and tallies must
-        // still agree bit-for-bit (blow-up retirement happens in pass 3).
-        let mut coo = Coo::new(2, 2);
-        coo.push(0, 0, 1.0);
-        coo.push(0, 1, 5.0);
-        coo.push(1, 0, 5.0);
-        coo.push(1, 1, 1.0);
-        let w = WalkMatrix::from_perturbed(&coo.to_csr(), 0.0);
-        let mut s_ref = vec![0.0; 2];
-        let mut t_ref = Vec::new();
-        let st_ref = w.walk_row(0, 2000, 1e-300, 100_000, 1, &mut s_ref, &mut t_ref);
-        assert!(st_ref.blown_up > 0);
-        let mut batch = SoaBatch::new();
-        let mut s_soa = vec![0.0; 2];
-        let mut t_soa = Vec::new();
-        let st_soa = w.walk_row_soa(
-            0, 2000, 1e-300, 100_000, 1, &mut batch, &mut s_soa, &mut t_soa,
-        );
-        assert_eq!(s_ref, s_soa);
-        assert_eq!(t_ref, t_soa);
-        assert_eq!(st_ref.blown_up, st_soa.blown_up);
-        assert_eq!(st_ref.transitions, st_soa.transitions);
-    }
-
-    #[test]
-    fn soa_all_absorbed_batch_makes_progress() {
-        // Regression for the lane-masking hazard: when every lane of a
-        // batch is absorbed at once (start row has no off-diagonals), the
-        // round must still retire all lanes, regenerate pending chains, and
-        // terminate — spending the whole chain budget with zero draws.
-        let n = 3;
-        let mut coo = Coo::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 2.0);
-        }
-        let w = WalkMatrix::from_perturbed(&coo.to_csr(), 0.0);
-        let chains = 5000; // > MAX_LANES: forces multiple regeneration waves
-        let mut batch = SoaBatch::new();
-        let mut s_soa = vec![0.0; n];
-        let mut t_soa = Vec::new();
-        let st_soa = w.walk_row_soa(
-            1, chains, 1e-6, 10_000, 5, &mut batch, &mut s_soa, &mut t_soa,
-        );
-        assert_eq!(st_soa.transitions, 0);
-        assert_eq!(st_soa.capped, 0);
-        assert_eq!(s_soa[1], chains as f64);
-        assert_eq!(t_soa, vec![1]);
-        // And it is exactly what the scalar engine produces.
-        let mut s_ref = vec![0.0; n];
-        let mut t_ref = Vec::new();
-        let st_ref = w.walk_row(1, chains, 1e-6, 10_000, 5, &mut s_ref, &mut t_ref);
-        assert_eq!(s_ref, s_soa);
-        assert_eq!(t_ref, t_soa);
-        assert_eq!(st_ref.transitions, st_soa.transitions);
-    }
-
-    #[test]
-    fn soa_zero_chains_is_a_noop() {
-        let w = WalkMatrix::from_perturbed(&two_by_two(), 0.0);
-        let mut batch = SoaBatch::new();
-        let mut scratch = vec![0.0; 2];
-        let mut touched = Vec::new();
-        let st = w.walk_row_soa(0, 0, 1e-6, 100, 0, &mut batch, &mut scratch, &mut touched);
-        assert_eq!(st.transitions, 0);
-        assert_eq!(scratch, vec![0.0; 2]);
-        assert!(touched.is_empty());
-    }
-
-    #[test]
-    fn gathered_lane_sampling_passes_chi_square() {
-        // Drive the SoA pass-2/pass-3 mechanics directly — a contiguous
-        // block of draws from per-lane chain streams, resolved through the
-        // gathered alias lookup — and χ²-test the pooled transition counts
-        // against the MAO distribution. Catches any bias introduced by the
-        // block-draw/gather restructuring (e.g. reusing a draw across
-        // lanes, or misindexing the draw block). χ²₀.₉₉₉(9 dof) = 27.88.
-        let n = 11;
-        let mut coo = Coo::new(n, n);
-        coo.push(0, 0, 20.0);
-        for j in 1..n {
-            coo.push(0, j, j as f64);
-        }
-        for j in 1..n {
-            coo.push(j, j, 1.0);
-        }
-        let w = WalkMatrix::from_perturbed(&coo.to_csr(), 0.0);
-        let (rs, re) = w.row_range(0);
-        let m = re - rs;
-        let s = w.rowsum(0);
-
-        let lanes = 512usize;
-        let rounds = 400usize;
-        let mut rngs: Vec<ChaCha8Rng> = (0..lanes).map(|c| chain_rng(99, 0, c)).collect();
-        let mut draws = vec![0u64; lanes];
-        let mut counts = vec![0usize; n];
-        for _ in 0..rounds {
-            // Pass 2: contiguous draw block.
-            for (d, rng) in draws.iter_mut().zip(rngs.iter_mut()) {
-                *d = rng.next_u64();
-            }
-            // Pass 3: gathered resolution (every lane samples row 0).
-            for &r in &draws {
-                let (j, mult) = w.resolve_draw(0, r);
-                assert!((mult.abs() - s).abs() < 1e-15);
-                counts[j] += 1;
-            }
-        }
-        let total = (lanes * rounds) as f64;
-        let mut stat = 0.0;
-        for e in 0..m {
-            let p = w.vals[rs + e].abs() / s;
-            let expected = p * total;
-            let d = counts[w.cols[rs + e]] as f64 - expected;
-            stat += d * d / expected;
-        }
-        assert!(stat < 27.88, "gathered-lane χ² = {stat}");
-    }
-
-    /// Micro-profile of the SoA passes vs the scalar loop. Ignored: a
-    /// perf-tuning aid, not a correctness test — run release-mode with
-    /// `cargo test -p mcmcmi_mcmc --release soa_profile -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn soa_profile() {
-        use std::time::Instant;
-        // Climate-operator-class system: wide rows, far-flung columns.
-        let n = 20_000usize;
-        let nnz_row = 90usize;
-        let mut coo = Coo::new(n, n);
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        for i in 0..n {
-            coo.push(i, i, 200.0);
-            for _ in 0..nnz_row {
-                let j = (rng.next_u64() % n as u64) as usize;
-                if j != i {
-                    coo.push(i, j, 1.0 - 2.0 * ((rng.next_u64() & 1) as f64));
-                }
-            }
-        }
-        let w = WalkMatrix::from_perturbed(&coo.to_csr(), 0.5);
-        let chains = 1138usize;
-        let (delta, max_len, seed) = (1e-3, 10_000usize, 42u64);
-        let rows: Vec<usize> = (0..200).map(|r| r * 97 % n).collect();
-        let mut scratch = vec![0.0; n];
-        let mut touched = Vec::new();
-        let mut batch = SoaBatch::new();
-        for pass in 0..2 {
-            let t0 = Instant::now();
-            let mut tr = 0usize;
-            for &i in &rows {
-                tr += w
-                    .walk_row(i, chains, delta, max_len, seed, &mut scratch, &mut touched)
-                    .transitions;
-                for &j in touched.iter() {
-                    scratch[j] = 0.0;
-                }
-                touched.clear();
-            }
-            let scalar_ns = t0.elapsed().as_nanos() as f64 / tr as f64;
-            let t0 = Instant::now();
-            let mut tr2 = 0usize;
-            for &i in &rows {
-                tr2 += w
-                    .walk_row_soa(
-                        i,
-                        chains,
-                        delta,
-                        max_len,
-                        seed,
-                        &mut batch,
-                        &mut scratch,
-                        &mut touched,
-                    )
-                    .transitions;
-                for &j in touched.iter() {
-                    scratch[j] = 0.0;
-                }
-                touched.clear();
-            }
-            let soa_ns = t0.elapsed().as_nanos() as f64 / tr2 as f64;
-            assert_eq!(tr, tr2);
-            // Flush replay alone (journals left from the last row).
-            let t0 = Instant::now();
-            let mut sink = 0u64;
-            for log in batch.logs.iter() {
-                for &(j, v) in log {
-                    sink ^= (j as u64).wrapping_add(v.to_bits());
-                }
-            }
-            let replay_ns = t0.elapsed().as_nanos() as f64;
-            println!(
-                "pass {pass}: scalar {scalar_ns:.2} ns/t  soa {soa_ns:.2} ns/t  \
-                 (journal replay of last row: {replay_ns:.0} ns, sink {sink})"
-            );
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reproducibility guarantees across the stack: identical results for
 //! identical seeds, regardless of thread count.
 
-use mcmcmi::matgen::{fd_laplace_2d, PaperMatrix};
+use mcmcmi::matgen::{fd_laplace_2d, pdd_real_sparse_scaled, PaperMatrix};
 use mcmcmi::mcmc::{BuildConfig, McmcInverse, McmcParams};
 
 #[test]
@@ -17,6 +17,59 @@ fn mcmc_build_identical_across_thread_counts() {
             .unwrap();
         let got = pool.install(|| builder.build(&a, params));
         assert_eq!(got.precond.matrix(), &reference, "thread count {threads}");
+    }
+}
+
+/// Default-config builds pinned to recorded `Csr::fingerprint` values
+/// (the hash covers pattern and value bits) and transition counts, at 1
+/// and 8 threads. The points are the benchmark's: cold_solve's
+/// (α=2, ε=1/32, δ=1/16) on two Table-1 matrices and drift_stream's
+/// (α=1, ε=δ=1/8) on its operator family. Any change to the walk loop
+/// that reorders RNG draws or floating-point adds moves these values.
+#[test]
+fn default_builds_match_golden_fingerprints_at_1_and_8_threads() {
+    let cold = McmcParams::new(2.0, 1.0 / 32.0, 1.0 / 16.0);
+    let cases = [
+        (
+            "a00512",
+            PaperMatrix::A00512.generate(),
+            cold,
+            0x8665_932b_99a3_0b19u64,
+            693_103usize,
+        ),
+        (
+            "2DFDLaplace_64",
+            PaperMatrix::Laplace64.generate(),
+            cold,
+            0x1399_409b_35ac_8c05,
+            5_545_515,
+        ),
+        (
+            "pdd_real_sparse_scaled(1024, 16, 0)",
+            pdd_real_sparse_scaled(1024, 16, 0),
+            McmcParams::new(1.0, 0.125, 0.125),
+            0xe65f_f1dd_86eb_d5e0,
+            91_048,
+        ),
+    ];
+    let builder = McmcInverse::new(BuildConfig::default());
+    for (name, a, params, fingerprint, transitions) in &cases {
+        for threads in [1usize, 8] {
+            let out = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| builder.build(a, *params));
+            assert_eq!(
+                out.precond.matrix().fingerprint(),
+                *fingerprint,
+                "{name}: fingerprint at {threads} threads"
+            );
+            assert_eq!(
+                out.transitions, *transitions,
+                "{name}: transitions at {threads} threads"
+            );
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //! * the declared dirty set of every drift generator matches
 //!   `Csr::diff_rows` exactly.
 
-use mcmcmi_matgen::CoefficientDrift;
+use mcmcmi_matgen::{CoefficientDrift, PaperMatrix};
 use mcmcmi_mcmc::{BuildConfig, McmcInverse, McmcParams};
 use mcmcmi_sparse::{Coo, Csr};
 use proptest::prelude::*;
@@ -65,6 +65,57 @@ fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
         .build()
         .expect("pool")
         .install(f)
+}
+
+/// Strategy: an arbitrary sparse pattern whose diagonal is added later.
+/// Rows without off-diagonals (absorbing walk rows), heavy rows and
+/// disconnected blocks all occur.
+fn arb_structure() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
+    (3usize..24).prop_flat_map(|n| {
+        let triplet = (0..n, 0..n, -4i32..=4);
+        proptest::collection::vec(triplet, 0..96).prop_map(move |ts| {
+            (
+                n,
+                ts.into_iter()
+                    .map(|(i, j, e)| (i, j, (e as f64) * 0.7 + 0.1))
+                    .collect(),
+            )
+        })
+    })
+}
+
+proptest! {
+    /// All-dirty rebuild ≡ fresh build over random structure at a small δ
+    /// (long chains, so absorption, step order and add order all matter),
+    /// at 1 and 8 threads.
+    #[test]
+    fn all_dirty_rebuild_matches_fresh_build_over_random_matrices((n, ts) in arb_structure()) {
+        let mut coo = Coo::new(n, n);
+        // A dominant diagonal keeps the splitting contractive so walks
+        // terminate fast whatever the random pattern.
+        for i in 0..n {
+            coo.push(i, i, 6.0);
+        }
+        for (i, j, v) in ts {
+            if i != j {
+                coo.push(i, j, v);
+            }
+        }
+        let a = coo.to_csr();
+        let params = McmcParams::new(0.5, 0.25, 1e-3);
+        let builder = McmcInverse::new(BuildConfig::default());
+        let reference = builder.build(&a, params).precond.matrix().clone();
+        let all: Vec<usize> = (0..n).collect();
+        for threads in [1usize, 8] {
+            let (rebuilt, fresh) = in_pool(threads, || {
+                let mut out = builder.build(&a, params);
+                builder.rebuild_rows(&mut out, &a, &all, params);
+                (out.precond.matrix().clone(), builder.build(&a, params))
+            });
+            prop_assert_eq!(fresh.precond.matrix(), &reference, "fresh build at {} threads", threads);
+            prop_assert_eq!(&rebuilt, &reference, "all-dirty rebuild at {} threads", threads);
+        }
+    }
 }
 
 proptest! {
@@ -181,5 +232,29 @@ fn generator_ground_truth_matches_csr_diff_under_both_thread_counts() {
             let fresh = builder.build(&prev, params);
             assert_eq!(out.precond.matrix().nrows(), fresh.precond.matrix().nrows());
         });
+    }
+}
+
+#[test]
+fn all_dirty_rebuild_on_a00512_is_a_fresh_build_at_1_and_8_threads() {
+    // A Table-1 operator rather than a random one: every row rebuilt in
+    // place must reproduce the fresh build, bit for bit, at either pool.
+    let a = PaperMatrix::A00512.generate();
+    let params = McmcParams::new(0.5, 0.25, 0.0625);
+    let builder = McmcInverse::new(BuildConfig::default());
+    let fresh = builder.build(&a, params);
+    let all: Vec<usize> = (0..a.nrows()).collect();
+    for threads in [1usize, 8] {
+        let rebuilt = in_pool(threads, || {
+            let mut out = builder.build(&a, params);
+            builder.rebuild_rows(&mut out, &a, &all, params);
+            out
+        });
+        assert_eq!(
+            rebuilt.precond.matrix(),
+            fresh.precond.matrix(),
+            "{threads} threads"
+        );
+        assert_eq!(rebuilt.transitions, fresh.transitions);
     }
 }
