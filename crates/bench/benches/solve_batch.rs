@@ -1,6 +1,8 @@
 //! Batched-solve microbenchmarks: lockstep `solve_batch` versus sequential
 //! single-RHS solves through the same session (identical arithmetic per
 //! column — the delta is purely traversal sharing and workspace reuse).
+//! k = 1 and k = 2 keep the small-batch cost of the lockstep path visible:
+//! a k = 1 batch should cost what one scalar solve costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcmcmi_krylov::{JacobiPrecond, SolveOptions, SolveSession, SolverType};
@@ -12,7 +14,7 @@ fn bench_solve_batch(c: &mut Criterion) {
     let a = fd_laplace_2d(24);
     let n = a.nrows();
     for solver in [SolverType::Cg, SolverType::Gmres] {
-        for k in [4usize, 8] {
+        for k in [1usize, 2, 4, 8] {
             let rhs: Vec<Vec<f64>> = (0..k)
                 .map(|c| {
                     (0..n)

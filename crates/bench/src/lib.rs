@@ -3,7 +3,8 @@
 //!
 //! Every binary accepts `--full` (paper-scale workload) and defaults to the
 //! `--lite` profile (small matrices, fewer replicates) so the entire
-//! evaluation can be regenerated on a laptop. Outputs go to `runs/` as both
+//! evaluation can be regenerated on a laptop; any other argument is
+//! rejected with a usage line. Outputs go to `runs/` as both
 //! human-readable stdout and machine-readable JSON/CSV.
 
 pub mod harness;

@@ -127,12 +127,51 @@ impl Profile {
     }
 }
 
-/// Parse `--full` / `--lite` from argv; defaults to lite.
+/// Parse `--full` / `--lite` from argv; defaults to lite. Any other
+/// argument prints a usage line and exits with status 2, so a typo never
+/// silently runs the wrong profile.
 pub fn parse_profile() -> Profile {
-    let full = std::env::args().any(|a| a == "--full");
-    if full {
+    let mut argv = std::env::args();
+    let bin = argv.next().unwrap_or_default();
+    profile_from_args(argv).unwrap_or_else(|bad| {
+        eprintln!("error: unknown argument `{bad}`\nusage: {bin} [--lite | --full]");
+        std::process::exit(2);
+    })
+}
+
+/// The argument check behind [`parse_profile`]: the last of `--lite` /
+/// `--full` wins; `Err` carries the first argument that is neither.
+fn profile_from_args(args: impl IntoIterator<Item = String>) -> Result<Profile, String> {
+    let mut full = false;
+    for arg in args {
+        match arg.as_str() {
+            "--lite" => full = false,
+            "--full" => full = true,
+            _ => return Err(arg),
+        }
+    }
+    Ok(if full {
         Profile::full()
     } else {
         Profile::lite()
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::profile_from_args;
+
+    fn parse(args: &[&str]) -> Result<&'static str, String> {
+        profile_from_args(args.iter().map(|a| a.to_string())).map(|p| p.name)
+    }
+
+    #[test]
+    fn profile_flags_select_lite_or_full_and_reject_anything_else() {
+        assert_eq!(parse(&[]), Ok("lite"));
+        assert_eq!(parse(&["--lite"]), Ok("lite"));
+        assert_eq!(parse(&["--full"]), Ok("full"));
+        assert_eq!(parse(&["--full", "--lite"]), Ok("lite"));
+        assert_eq!(parse(&["--ful"]), Err("--ful".to_string()));
+        assert_eq!(parse(&["--full", "extra"]), Err("extra".to_string()));
     }
 }

@@ -3,8 +3,8 @@
 //! The load-bearing contract: the identity policy (`drop_tol = 0`, no
 //! row cap, f64 storage) is a *bit-identical* round trip of the
 //! preconditioner CSR — pattern and values — because the whole
-//! compressed-path validation story (CI smoke, perf-record baseline
-//! parity) leans on it.
+//! compressed-path validation story (identity-policy session parity in
+//! `tests/flexible.rs`) leans on it.
 
 use mcmcmi_krylov::{CompressedPrecond, Preconditioner};
 use mcmcmi_mcmc::{compress, sparsify, BuildConfig, CompressionPolicy, McmcInverse, McmcParams};

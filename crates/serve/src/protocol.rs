@@ -364,8 +364,8 @@ pub struct SolveReply {
 
 impl SolveReply {
     /// The full `{"ok": true, ...}` JSON body. Float values round-trip
-    /// bit-exactly through the JSON layer, which is what lets the smoke
-    /// harness assert coalesced ≡ sequential at the bit level across the
+    /// bit-exactly through the JSON layer, which is what lets the e2e
+    /// tests assert coalesced ≡ sequential at the bit level across the
     /// wire.
     pub fn to_json(&self) -> String {
         let body = Value::Object(vec![

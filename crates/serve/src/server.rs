@@ -548,8 +548,10 @@ fn resolve_operator(
             job.respond(Err(err.clone()));
         }
     };
-    if let Some(slot) = inner.cache.lookup(fingerprint) {
-        return match slot {
+    // A cached slot settles the group: `Some(resolution)` on a ready or
+    // poisoned hit, `None` on a miss.
+    let from_cache = || {
+        inner.cache.lookup(fingerprint).map(|slot| match slot {
             Slot::Ready(entry) => {
                 inner
                     .stats
@@ -565,7 +567,10 @@ fn resolve_operator(
                 respond_all(&ServeError::Build((*err).clone()));
                 None
             }
-        };
+        })
+    };
+    if let Some(resolved) = from_cache() {
+        return resolved;
     }
     // Miss: build at most once per fingerprint, even across uncoalesced
     // concurrent groups.
@@ -578,24 +583,8 @@ fn resolve_operator(
     let _guard = lock
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(slot) = inner.cache.lookup(fingerprint) {
-        return match slot {
-            Slot::Ready(entry) => {
-                inner
-                    .stats
-                    .cache_hits
-                    .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-                Some((entry, true))
-            }
-            Slot::Poisoned(err) => {
-                inner
-                    .stats
-                    .negative_hits
-                    .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-                respond_all(&ServeError::Build((*err).clone()));
-                None
-            }
-        };
+    if let Some(resolved) = from_cache() {
+        return resolved;
     }
     // Test-only: die *while holding the build lock*, modelling a builder
     // panicking mid-build. The catch site answers this group; the next

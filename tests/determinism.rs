@@ -104,7 +104,15 @@ fn spmv_par_identical_across_thread_counts() {
 /// and bit-identical per column to k independent SpMVs.
 #[test]
 fn spmm_identical_across_thread_counts_and_to_spmv_columns() {
-    let a = mcmcmi::matgen::stretched_climate_operator(13, 46, 22, 1.0);
+    for a in [
+        mcmcmi::matgen::stretched_climate_operator(13, 46, 22, 1.0),
+        fd_laplace_2d(12),
+    ] {
+        spmm_contract(&a);
+    }
+}
+
+fn spmm_contract(a: &mcmcmi::sparse::Csr) {
     let n = a.nrows();
     for k in [1usize, 3, 4, 6, 8] {
         let xb: Vec<f64> = (0..n * k)
@@ -354,5 +362,52 @@ fn compressed_f32_apply_identical_across_thread_counts() {
         let mut b = vec![0.0; n * k];
         pool.install(|| cp2.apply_block(&rb, k, &mut b));
         assert_eq!(b, ref_b, "apply_block, thread count {threads}");
+    }
+}
+
+/// Structured operators reach the specialized kernels end to end: a
+/// `SolveSession` on a stencil and on a banded operator reports the
+/// detected kernel family and solves bit for bit like the free `solve` on
+/// the plain CSR, at 1 and 8 threads with the parallel kernel arm forced.
+#[test]
+fn structured_session_runs_specialized_kernels_and_matches_free_solve() {
+    use mcmcmi::krylov::{solve, JacobiPrecond, SolveOptions, SolveSession, SolverType};
+    use mcmcmi::sparse::{set_par_threshold_for_tests, KernelBackend};
+    struct RestoreThreshold;
+    impl Drop for RestoreThreshold {
+        fn drop(&mut self) {
+            set_par_threshold_for_tests(None);
+        }
+    }
+    let cases = [
+        (fd_laplace_2d(64), "stencil", SolverType::Cg),
+        (
+            mcmcmi::matgen::banded_climate_rows(16, 32, 4, 1.0),
+            "banded",
+            SolverType::Gmres,
+        ),
+    ];
+    for (a, kernel, solver) in &cases {
+        let n = a.nrows();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.19).sin()).collect();
+        let opts = SolveOptions::default();
+        let reference = solve(a, &b, &JacobiPrecond::new(a), *solver, opts);
+        let _restore = RestoreThreshold;
+        set_par_threshold_for_tests(Some(1));
+        for threads in [1usize, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let got = pool.install(|| {
+                let mut sess = SolveSession::new(a.clone(), JacobiPrecond::new(a), *solver, opts);
+                assert!(sess.backend().is_specialized(), "{kernel}");
+                assert_eq!(sess.backend().kernel_name(), *kernel);
+                sess.solve(&b)
+            });
+            assert_eq!(got.x, reference.x, "{kernel}, {threads} threads");
+            assert_eq!(got.iterations, reference.iterations, "{kernel}");
+            assert_eq!(got.rel_residual, reference.rel_residual, "{kernel}");
+        }
     }
 }

@@ -7,10 +7,14 @@
 //!   tests pin it under both 1 and 8 Rayon threads);
 //! * a **no-dirty** rebuild is a no-op on the preconditioner bytes;
 //! * the declared dirty set of every drift generator matches
-//!   `Csr::diff_rows` exactly.
+//!   `Csr::diff_rows` exactly;
+//! * the `DriftSession` refresh ladder escalates on a drift burst and
+//!   records the same decision trail at any thread count.
 
-use mcmcmi_matgen::{CoefficientDrift, PaperMatrix};
-use mcmcmi_mcmc::{BuildConfig, McmcInverse, McmcParams};
+use mcmcmi_core::{DriftSession, RefreshAction, RefreshPolicy};
+use mcmcmi_krylov::{SolveOptions, SolverType};
+use mcmcmi_matgen::{fd_laplace_2d, CoefficientDrift, PaperMatrix};
+use mcmcmi_mcmc::{BuildConfig, McmcInverse, McmcParams, SafeguardConfig};
 use mcmcmi_sparse::{Coo, Csr};
 use proptest::prelude::*;
 
@@ -257,4 +261,59 @@ fn all_dirty_rebuild_on_a00512_is_a_fresh_build_at_1_and_8_threads() {
         );
         assert_eq!(rebuilt.transitions, fresh.transitions);
     }
+}
+
+#[test]
+fn refresh_ladder_escalates_deterministically_on_a_6x_burst_at_1_and_8_threads() {
+    // Four calm steps calibrate the staleness monitor, then every row is
+    // rescaled 6×: the warm start is off by 6×, the monitor grades the
+    // step stale, and the ladder must leave keep-applying and still end
+    // converged.
+    let run = |threads: usize| {
+        in_pool(threads, || {
+            let a = fd_laplace_2d(12);
+            let n = a.nrows();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin() + 0.5).collect();
+            let mut sess = DriftSession::new(
+                a.clone(),
+                McmcParams::new(0.1, 0.0625, 0.0625),
+                BuildConfig::default(),
+                SafeguardConfig::default(),
+                SolverType::Gmres,
+                SolveOptions {
+                    max_iter: 60,
+                    ..Default::default()
+                },
+                RefreshPolicy::default(),
+            );
+            for _ in 0..4 {
+                let _ = sess.step(a.clone(), &b);
+            }
+            let mut burst = a;
+            for i in 0..n {
+                for v in burst.row_values_mut(i) {
+                    *v *= 6.0;
+                }
+            }
+            let at_burst = sess.step(burst.clone(), &b);
+            let after = sess.step(burst, &b);
+            (sess.trail().clone(), at_burst, after)
+        })
+    };
+    let (trail, at_burst, after) = run(1);
+    assert!(at_burst.converged, "burst step must end converged");
+    assert!(after.converged, "post-burst step must stay converged");
+    assert_ne!(
+        trail.steps[4].action,
+        RefreshAction::KeepApplying,
+        "the burst must escalate the ladder"
+    );
+    let (trail8, at_burst8, after8) = run(8);
+    assert_eq!(
+        serde_json::to_string(&trail8).unwrap(),
+        serde_json::to_string(&trail).unwrap(),
+        "decision trail at 8 threads"
+    );
+    assert_eq!(at_burst8.x, at_burst.x);
+    assert_eq!(after8.x, after.x);
 }
