@@ -1,5 +1,6 @@
-//! Surrogate cost: graph embedding, one forward+backward step, and a
-//! single-candidate prediction with input gradients (the BO inner loop).
+//! Surrogate cost: graph embedding, building the inference head, one
+//! training forward+backward step, and a single-candidate prediction with
+//! input gradients through the head (the BO inner loop).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcmcmi_autodiff::{Graph, Tensor};
@@ -15,11 +16,15 @@ fn bench_gnn(c: &mut Criterion) {
         b.iter(|| s.embed_graph(&data));
     });
     let h_g = s.embed_graph(&data);
+    group.bench_function("head/build", |b| {
+        b.iter(|| s.head(&h_g, &xa));
+    });
+    let head = s.head(&h_g, &xa);
     group.bench_function("predict/one-candidate", |b| {
-        b.iter(|| s.predict(&h_g, &xa, &[0.0, 0.1, -0.1, 1.0, 0.0, 0.0]));
+        b.iter(|| head.predict(&[0.0, 0.1, -0.1, 1.0, 0.0, 0.0]));
     });
     group.bench_function("predict_grad/one-candidate", |b| {
-        b.iter(|| s.predict_grad(&h_g, &xa, &[0.0, 0.1, -0.1, 1.0, 0.0, 0.0]));
+        b.iter(|| head.predict_grad(&[0.0, 0.1, -0.1, 1.0, 0.0, 0.0]));
     });
     group.bench_function("train_step/batch64", |b| {
         b.iter(|| {

@@ -2,54 +2,52 @@
 //!
 //! The optimiser works in the *physical* (α, ε, δ) space; the surrogate
 //! consumes standardised 6-vectors `[α, ε, δ, onehot(solver)]`. This adapter
-//! owns the standardiser, the cached graph embedding, and the chain rule
+//! borrows the matrix's tape-free [`SurrogateHead`] (graph embedding and
+//! `x_A` already folded in, so each EI evaluation runs only the `x_M` and
+//! combined stacks), owns the standardiser view, and applies the chain rule
 //! (`∂/∂raw = ∂/∂std / σ_col`) so gradients arrive in physical coordinates.
 
-use mcmcmi_autodiff::Tensor;
 use mcmcmi_bayesopt::SurrogateModel;
-use mcmcmi_gnn::Surrogate;
+use mcmcmi_gnn::SurrogateHead;
 use mcmcmi_krylov::SolverType;
 use mcmcmi_stats::Standardizer;
 
 /// Physical-space view of the trained surrogate for one (matrix, solver).
 pub struct GnnSurrogateAdapter<'a> {
-    surrogate: &'a mut Surrogate,
-    h_g: Tensor,
-    xa_std: Vec<f64>,
+    head: &'a SurrogateHead,
     xm_std: &'a Standardizer,
     solver: SolverType,
+    /// `∂z/∂x` of the standardiser per `(α, ε, δ)` column.
+    inv_scale: [f64; 3],
 }
 
 impl<'a> GnnSurrogateAdapter<'a> {
-    /// Wrap a trained surrogate for a given matrix embedding + features.
-    ///
-    /// `xa_std` must already be standardised; `xm_std` is the 6-dim
-    /// standardiser fitted on the training dataset.
-    pub fn new(
-        surrogate: &'a mut Surrogate,
-        h_g: Tensor,
-        xa_std: Vec<f64>,
-        xm_std: &'a Standardizer,
-        solver: SolverType,
-    ) -> Self {
+    /// Wrap a matrix's inference head (built from standardised `x_A`) for
+    /// one solver; `xm_std` is the 6-dim standardiser fitted on the
+    /// training dataset.
+    pub fn new(head: &'a SurrogateHead, xm_std: &'a Standardizer, solver: SolverType) -> Self {
         assert_eq!(
             xm_std.dim(),
             6,
             "GnnSurrogateAdapter: expected 6-dim x_M standardiser"
         );
+        // Recover the per-column scale from the standardiser by
+        // transforming two probe points (avoids exposing internals).
+        let probe0 = xm_std.transform(&[0.0; 6]);
+        let probe1 = xm_std.transform(&[1.0; 6]);
+        let inv_scale = std::array::from_fn(|i| probe1[i] - probe0[i]);
         Self {
-            surrogate,
-            h_g,
-            xa_std,
+            head,
             xm_std,
             solver,
+            inv_scale,
         }
     }
 
-    fn raw6(&self, x: &[f64]) -> Vec<f64> {
+    fn std6(&self, x: &[f64]) -> Vec<f64> {
         let mut v = x.to_vec();
         v.extend_from_slice(&self.solver.one_hot());
-        v
+        self.xm_std.transform(&v)
     }
 }
 
@@ -64,8 +62,7 @@ impl SurrogateModel for GnnSurrogateAdapter<'_> {
             3,
             "GnnSurrogateAdapter::predict: expected (α, ε, δ)"
         );
-        let std6 = self.xm_std.transform(&self.raw6(x));
-        self.surrogate.predict(&self.h_g, &self.xa_std, &std6)
+        self.head.predict(&self.std6(x))
     }
 
     fn predict_grad(&mut self, x: &[f64]) -> (f64, f64, Vec<f64>, Vec<f64>) {
@@ -74,17 +71,10 @@ impl SurrogateModel for GnnSurrogateAdapter<'_> {
             3,
             "GnnSurrogateAdapter::predict_grad: expected (α, ε, δ)"
         );
-        let raw = self.raw6(x);
-        let std6 = self.xm_std.transform(&raw);
-        let (mu, sigma, dmu6, dsg6) = self.surrogate.predict_grad(&self.h_g, &self.xa_std, &std6);
+        let (mu, sigma, dmu6, dsg6) = self.head.predict_grad(&self.std6(x));
         // Chain rule through z = (x − m)/s: ∂f/∂x_i = ∂f/∂z_i / s_i.
-        // Recover per-column scale from the standardiser by transforming two
-        // probe points (avoids exposing internals).
-        let probe0 = self.xm_std.transform(&[0.0; 6]);
-        let probe1 = self.xm_std.transform(&[1.0; 6]);
-        let inv_scale: Vec<f64> = probe1.iter().zip(&probe0).map(|(a, b)| a - b).collect();
-        let dmu: Vec<f64> = (0..3).map(|i| dmu6[i] * inv_scale[i]).collect();
-        let dsigma: Vec<f64> = (0..3).map(|i| dsg6[i] * inv_scale[i]).collect();
+        let dmu = (0..3).map(|i| dmu6[i] * self.inv_scale[i]).collect();
+        let dsigma = (0..3).map(|i| dsg6[i] * self.inv_scale[i]).collect();
         (mu, sigma, dmu, dsigma)
     }
 }
@@ -92,11 +82,11 @@ impl SurrogateModel for GnnSurrogateAdapter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcmcmi_gnn::{MatrixGraph, SurrogateConfig};
+    use mcmcmi_gnn::{MatrixGraph, Surrogate, SurrogateConfig};
     use mcmcmi_matgen::laplace_1d;
 
-    fn setup() -> (Surrogate, Tensor, Vec<f64>, Standardizer) {
-        let mut s = Surrogate::new(SurrogateConfig {
+    fn setup() -> (SurrogateHead, Standardizer) {
+        let s = Surrogate::new(SurrogateConfig {
             gnn_hidden: 8,
             xa_hidden: 4,
             xm_hidden: 4,
@@ -105,7 +95,7 @@ mod tests {
             ..SurrogateConfig::lite(3, 6)
         });
         let data = MatrixGraph::from_csr(&laplace_1d(6));
-        let h_g = s.embed_graph(&data);
+        let head = s.head(&s.embed_graph(&data), &[0.1, -0.2, 0.3]);
         // A standardiser with non-trivial scales.
         let rows: Vec<Vec<f64>> = (0..20)
             .map(|k| {
@@ -121,13 +111,13 @@ mod tests {
             })
             .collect();
         let xm_std = Standardizer::fit(&rows);
-        (s, h_g, vec![0.1, -0.2, 0.3], xm_std)
+        (head, xm_std)
     }
 
     #[test]
     fn predict_outputs_valid_gaussian_params() {
-        let (mut s, h_g, xa, xm_std) = setup();
-        let mut ad = GnnSurrogateAdapter::new(&mut s, h_g, xa, &xm_std, SolverType::Gmres);
+        let (head, xm_std) = setup();
+        let mut ad = GnnSurrogateAdapter::new(&head, &xm_std, SolverType::Gmres);
         let (mu, sigma) = ad.predict(&[2.0, 0.25, 0.25]);
         assert!(mu >= 0.0);
         assert!(sigma > 0.0);
@@ -136,8 +126,8 @@ mod tests {
 
     #[test]
     fn physical_gradients_match_finite_differences() {
-        let (mut s, h_g, xa, xm_std) = setup();
-        let mut ad = GnnSurrogateAdapter::new(&mut s, h_g, xa, &xm_std, SolverType::Gmres);
+        let (head, xm_std) = setup();
+        let mut ad = GnnSurrogateAdapter::new(&head, &xm_std, SolverType::Gmres);
         let x = [2.0, 0.3, 0.4];
         let (_, _, dmu, dsg) = ad.predict_grad(&x);
         let h = 1e-6;
@@ -156,22 +146,10 @@ mod tests {
 
     #[test]
     fn solver_choice_changes_predictions() {
-        let (mut s, h_g, xa, xm_std) = setup();
+        let (head, xm_std) = setup();
         let x = [2.0, 0.25, 0.25];
-        let p_gmres = {
-            let mut ad = GnnSurrogateAdapter::new(
-                &mut s,
-                h_g.clone(),
-                xa.clone(),
-                &xm_std,
-                SolverType::Gmres,
-            );
-            ad.predict(&x)
-        };
-        let p_bicg = {
-            let mut ad = GnnSurrogateAdapter::new(&mut s, h_g, xa, &xm_std, SolverType::BiCgStab);
-            ad.predict(&x)
-        };
+        let p_gmres = GnnSurrogateAdapter::new(&head, &xm_std, SolverType::Gmres).predict(&x);
+        let p_bicg = GnnSurrogateAdapter::new(&head, &xm_std, SolverType::BiCgStab).predict(&x);
         assert_ne!(p_gmres, p_bicg);
     }
 }

@@ -347,8 +347,9 @@ impl AutoTuner {
         // recommendation replaces the first anchor's build parameters.
         let mut anchors: Vec<Vec<f64>> = Vec::new();
         let anchor_a = if let Some(rec) = self.recommender.as_mut() {
-            let y_min = rec.predicted_min(a, self.cfg.solver, budget.seed);
-            let (params, _ei) = rec.recommend(a, self.cfg.solver, y_min, 0.05, budget.seed);
+            let params = rec
+                .recommend_unseen(a, self.cfg.solver, 0.05, budget.seed)
+                .params;
             Self::encode(params, &CompressionPolicy::f32(1e-2))
         } else {
             Self::encode(

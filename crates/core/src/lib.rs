@@ -6,9 +6,12 @@
 //! 2. [`measure`] runs `MCMC build + Krylov solve` and reports the
 //!    performance metric `y = steps_with / steps_without` (Eq. 4).
 //! 3. [`dataset`] assembles the labelled grid dataset of §4.2.
-//! 4. The GNN surrogate (from `mcmcmi-gnn`) is trained on it; [`adapter`]
-//!    exposes it to the Bayesian optimiser through the `SurrogateModel`
-//!    trait with standardisation folded into the gradients.
+//! 4. The GNN surrogate (from `mcmcmi-gnn`) is trained on it on the
+//!    autodiff tape. Inference runs through its tape-free `SurrogateHead`,
+//!    built once per matrix (graph embedding and `x_A` folded in) and
+//!    bit-identical to the tape; [`adapter`] exposes a head to the
+//!    Bayesian optimiser through the `SurrogateModel` trait with
+//!    standardisation folded into the gradients.
 //! 5. [`pipeline`] runs BO rounds (32 EI-maximising recommendations per
 //!    round, ξ ∈ {0.05, 1.0}) and produces the BO-enhanced model and the
 //!    final `recommend(A) → x_M*` API.
@@ -32,5 +35,5 @@ pub use dataset::{DatasetRecord, PaperDataset};
 pub use drift::{DriftSession, RefreshAction, RefreshPolicy, RefreshStep, RefreshTrail};
 pub use features::matrix_features;
 pub use measure::{MeasureConfig, Measurement, MeasurementRunner};
-pub use pipeline::{BoRoundOutcome, PipelineConfig, Recommender};
+pub use pipeline::{BoRoundOutcome, PipelineConfig, Recommendation, Recommender};
 pub use snapshot::{load_json_snapshot, save_json_snapshot};

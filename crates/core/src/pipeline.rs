@@ -5,14 +5,19 @@ use crate::adapter::GnnSurrogateAdapter;
 use crate::dataset::{DatasetRecord, PaperDataset};
 use crate::features::matrix_features;
 use crate::measure::MeasurementRunner;
-use mcmcmi_bayesopt::{propose_batch, propose_best, ProposeConfig};
+use mcmcmi_bayesopt::{
+    lbfgsb_minimize, propose_batch, propose_best, ProposeConfig, SurrogateModel,
+};
 use mcmcmi_gnn::{
-    train_surrogate, MatrixGraph, Surrogate, SurrogateConfig, TrainConfig, TrainReport,
+    train_surrogate, MatrixGraph, Surrogate, SurrogateConfig, SurrogateHead, TrainConfig,
+    TrainReport,
 };
 use mcmcmi_krylov::SolverType;
 use mcmcmi_mcmc::McmcParams;
 use mcmcmi_sparse::Csr;
 use mcmcmi_stats::Standardizer;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Pipeline settings.
@@ -51,6 +56,18 @@ pub struct BoRoundOutcome {
     pub best_params: McmcParams,
     /// That parameter's sample median of y.
     pub best_median: f64,
+}
+
+/// A recommendation for a matrix with no observations yet
+/// ([`Recommender::recommend_unseen`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Recommendation {
+    /// Recommended `(α, ε, δ)`: the multi-start EI maximiser.
+    pub params: McmcParams,
+    /// Its expected improvement over `y_min`.
+    pub ei: f64,
+    /// The EI incumbent: the surrogate's predicted minimum of μ̂.
+    pub y_min: f64,
 }
 
 /// A trained recommender: surrogate + standardisers + measurement runner.
@@ -124,15 +141,19 @@ impl Recommender {
         &mut self.surrogate
     }
 
+    /// The inference head for `a`: graph embedding and standardised
+    /// matrix features folded into the surrogate once. It serves every
+    /// solver (the solver is part of `x_M`).
+    fn head(&self, a: &Csr) -> SurrogateHead {
+        let h_g = self.surrogate.embed_graph(&MatrixGraph::from_csr(a));
+        let xa = self.xa_std.transform(&matrix_features(a));
+        self.surrogate.head(&h_g, &xa)
+    }
+
     /// Predict `(μ̂, σ̂)` for given physical parameters on a matrix.
     pub fn predict(&mut self, a: &Csr, solver: SolverType, params: McmcParams) -> (f64, f64) {
-        let graph = MatrixGraph::from_csr(a);
-        let h_g = self.surrogate.embed_graph(&graph);
-        let xa = self.xa_std.transform(&matrix_features(a));
-        let mut adapter =
-            GnnSurrogateAdapter::new(&mut self.surrogate, h_g, xa, &self.xm_std, solver);
-        use mcmcmi_bayesopt::SurrogateModel;
-        adapter.predict(&params.as_vec())
+        let head = self.head(a);
+        GnnSurrogateAdapter::new(&head, &self.xm_std, solver).predict(&params.as_vec())
     }
 
     /// Surrogate-predicted minimum of μ̂ over the parameter box for a
@@ -140,38 +161,11 @@ impl Recommender {
     /// yet* (using the global dataset minimum instead would poison the
     /// improvement term with other matrices' easier baselines).
     pub fn predicted_min(&mut self, a: &Csr, solver: SolverType, seed: u64) -> f64 {
-        let graph = MatrixGraph::from_csr(a);
-        let h_g = self.surrogate.embed_graph(&graph);
-        let xa = self.xa_std.transform(&matrix_features(a));
-        let (lo, hi) = McmcParams::search_box();
-        let mut adapter =
-            GnnSurrogateAdapter::new(&mut self.surrogate, h_g, xa, &self.xm_std, solver);
-        use mcmcmi_bayesopt::SurrogateModel;
-        // Multi-start minimisation of μ̂ (EI with y_min → −∞ reduces to
-        // exploitation; here we just descend μ̂ directly).
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        use rand::Rng;
-        use rand::SeedableRng;
-        let mut best = f64::INFINITY;
-        for _ in 0..12 {
-            let x0: Vec<f64> = lo
-                .iter()
-                .zip(&hi)
-                .map(|(&l, &h)| rng.gen_range(l..=h))
-                .collect();
-            let r = mcmcmi_bayesopt::lbfgsb_minimize(
-                |x| {
-                    let (mu, _s, dmu, _ds) = adapter.predict_grad(x);
-                    (mu, dmu)
-                },
-                &x0,
-                &lo,
-                &hi,
-                Default::default(),
-            );
-            best = best.min(r.f);
-        }
-        best
+        let head = self.head(a);
+        min_mu(
+            &mut GnnSurrogateAdapter::new(&head, &self.xm_std, solver),
+            seed,
+        )
     }
 
     /// Recommend parameters for an unseen matrix: multi-start EI
@@ -184,25 +178,31 @@ impl Recommender {
         xi: f64,
         seed: u64,
     ) -> (McmcParams, f64) {
-        let graph = MatrixGraph::from_csr(a);
-        let h_g = self.surrogate.embed_graph(&graph);
-        let xa = self.xa_std.transform(&matrix_features(a));
-        let (lo, hi) = McmcParams::search_box();
-        let mut adapter =
-            GnnSurrogateAdapter::new(&mut self.surrogate, h_g, xa, &self.xm_std, solver);
-        let (x, ei) = propose_best(
-            &mut adapter,
+        let head = self.head(a);
+        max_ei(
+            &mut GnnSurrogateAdapter::new(&head, &self.xm_std, solver),
             y_min,
-            &lo,
-            &hi,
-            16,
-            ProposeConfig {
-                xi,
-                seed,
-                ..Default::default()
-            },
-        );
-        (McmcParams::from_clamped(&x), ei)
+            xi,
+            seed,
+        )
+    }
+
+    /// [`Recommender::predicted_min`] then [`Recommender::recommend`]
+    /// against it, both with `seed`, on one embedding of `a`: the
+    /// recommendation for a matrix with no observations yet.
+    pub fn recommend_unseen(
+        &mut self,
+        a: &Csr,
+        solver: SolverType,
+        xi: f64,
+        seed: u64,
+    ) -> Recommendation {
+        let head = self.head(a);
+        unseen(
+            &mut GnnSurrogateAdapter::new(&head, &self.xm_std, solver),
+            xi,
+            seed,
+        )
     }
 
     /// Paper §5 (future work, implemented here as an extension): recommend
@@ -223,11 +223,12 @@ impl Recommender {
         if allow_cg {
             candidates.push(SolverType::Cg);
         }
+        let head = self.head(a);
         let mut best: Option<(SolverType, McmcParams, f64)> = None;
         for solver in candidates {
-            let y_min = self.predicted_min(a, solver, seed);
-            let (params, _ei) = self.recommend(a, solver, y_min, xi, seed);
-            let (mu, _sigma) = self.predict(a, solver, params);
+            let mut adapter = GnnSurrogateAdapter::new(&head, &self.xm_std, solver);
+            let params = unseen(&mut adapter, xi, seed).params;
+            let (mu, _sigma) = adapter.predict(&params.as_vec());
             if best.as_ref().is_none_or(|(_, _, b)| mu < *b) {
                 best = Some((solver, params, mu));
             }
@@ -248,26 +249,20 @@ impl Recommender {
         y_min: f64,
         cfg: PipelineConfig,
     ) -> BoRoundOutcome {
-        let graph = MatrixGraph::from_csr(a);
-        let h_g = self.surrogate.embed_graph(&graph);
-        let xa = self.xa_std.transform(&matrix_features(a));
+        let head = self.head(a);
         let (lo, hi) = McmcParams::search_box();
-        let candidates = {
-            let mut adapter =
-                GnnSurrogateAdapter::new(&mut self.surrogate, h_g, xa, &self.xm_std, solver);
-            propose_batch(
-                &mut adapter,
-                y_min,
-                &lo,
-                &hi,
-                cfg.bo_batch,
-                ProposeConfig {
-                    xi: cfg.xi,
-                    seed: cfg.seed,
-                    ..Default::default()
-                },
-            )
-        };
+        let candidates = propose_batch(
+            &mut GnnSurrogateAdapter::new(&head, &self.xm_std, solver),
+            y_min,
+            &lo,
+            &hi,
+            cfg.bo_batch,
+            ProposeConfig {
+                xi: cfg.xi,
+                seed: cfg.seed,
+                ..Default::default()
+            },
+        );
         let mut records = Vec::with_capacity(candidates.len());
         let mut best: Option<(McmcParams, f64)> = None;
         for (ci, cand) in candidates.iter().enumerate() {
@@ -302,16 +297,75 @@ impl Recommender {
     }
 }
 
+/// Multi-start minimisation of μ̂ over the parameter box (EI with
+/// y_min → −∞ reduces to exploitation; here μ̂ is descended directly).
+fn min_mu(adapter: &mut GnnSurrogateAdapter<'_>, seed: u64) -> f64 {
+    let (lo, hi) = McmcParams::search_box();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut best = f64::INFINITY;
+    for _ in 0..12 {
+        let x0: Vec<f64> = lo
+            .iter()
+            .zip(&hi)
+            .map(|(&l, &h)| rng.gen_range(l..=h))
+            .collect();
+        let r = lbfgsb_minimize(
+            |x| {
+                let (mu, _s, dmu, _ds) = adapter.predict_grad(x);
+                (mu, dmu)
+            },
+            &x0,
+            &lo,
+            &hi,
+            Default::default(),
+        );
+        best = best.min(r.f);
+    }
+    best
+}
+
+/// Multi-start EI maximisation against `y_min`.
+fn max_ei(
+    adapter: &mut GnnSurrogateAdapter<'_>,
+    y_min: f64,
+    xi: f64,
+    seed: u64,
+) -> (McmcParams, f64) {
+    let (lo, hi) = McmcParams::search_box();
+    let (x, ei) = propose_best(
+        adapter,
+        y_min,
+        &lo,
+        &hi,
+        16,
+        ProposeConfig {
+            xi,
+            seed,
+            ..Default::default()
+        },
+    );
+    (McmcParams::from_clamped(&x), ei)
+}
+
+/// Both searches of [`Recommender::recommend_unseen`] on one adapter.
+fn unseen(adapter: &mut GnnSurrogateAdapter<'_>, xi: f64, seed: u64) -> Recommendation {
+    let y_min = min_mu(adapter, seed);
+    let (params, ei) = max_ei(adapter, y_min, xi, seed);
+    Recommendation { params, ei, y_min }
+}
+
 /// Evaluate the surrogate's predictions over a set of records on one matrix
-/// (used by the Figure-1/2 analyses): returns `(μ̂_j, σ̂_j)` per record.
+/// (used by the Figure-1/2 analyses): returns `(μ̂_j, σ̂_j)` per record. The
+/// matrix is embedded once; every record's solver reads the same head.
 pub fn predict_records(
     rec: &mut Recommender,
     a: &Csr,
     records: &[DatasetRecord],
 ) -> Vec<(f64, f64)> {
+    let head = rec.head(a);
     records
         .iter()
-        .map(|r| rec.predict(a, r.solver, r.params))
+        .map(|r| GnnSurrogateAdapter::new(&head, &rec.xm_std, r.solver).predict(&r.params.as_vec()))
         .collect()
 }
 
@@ -446,6 +500,12 @@ mod tests {
         // unexplored local minima of a tiny random surrogate).
         let (mu, _) = rec.predict(&a, SolverType::Gmres, McmcParams::new(2.0, 0.25, 0.25));
         assert!(pmin <= mu + 1e-6, "pmin {pmin} vs probe {mu}");
+        // One embedding for both searches gives the separate calls' bits.
+        let (params, ei) = rec.recommend(&a, SolverType::Gmres, pmin, 0.05, 3);
+        let both = rec.recommend_unseen(&a, SolverType::Gmres, 0.05, 3);
+        assert_eq!(both.y_min.to_bits(), pmin.to_bits());
+        assert_eq!(both.params, params);
+        assert_eq!(both.ei.to_bits(), ei.to_bits());
     }
 
     #[test]
@@ -458,5 +518,8 @@ mod tests {
         let preds = predict_records(&mut rec, &matrices[0].1, &ds.records[..5]);
         assert_eq!(preds.len(), 5);
         assert!(preds.iter().all(|&(m, s)| m >= 0.0 && s > 0.0));
+        for (r, &p) in ds.records[..5].iter().zip(&preds) {
+            assert_eq!(p, rec.predict(&matrices[0].1, r.solver, r.params));
+        }
     }
 }

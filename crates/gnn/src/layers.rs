@@ -29,6 +29,9 @@ pub enum ConvKind {
     Pna,
 }
 
+/// LayerNorm ε of every [`Mlp`] block.
+const MLP_LN_EPS: f64 = 1e-5;
+
 /// A stack of `Linear → [LayerNorm] → ReLU` blocks (last layer linear unless
 /// `activate_last`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -102,12 +105,207 @@ impl Mlp {
             let is_last = l + 1 == n_layers;
             if !is_last || self.activate_last {
                 if self.layer_norm && self.dims[l + 1] > 1 {
-                    x = g.layer_norm(x, 1e-5);
+                    x = g.layer_norm(x, MLP_LN_EPS);
                 }
                 x = g.relu(x);
             }
         }
         x
+    }
+
+    /// Copy the stack's weights out of `ps` for tape-free evaluation of
+    /// single rows (see [`FrozenMlp`]).
+    pub(crate) fn freeze(&self, ps: &ParamSet) -> FrozenMlp {
+        let n_layers = self.weights.len();
+        let layers = (0..n_layers)
+            .map(|l| {
+                let w = ps.get(self.weights[l]);
+                let act = l + 1 < n_layers || self.activate_last;
+                FrozenLayer {
+                    d_in: w.cols(),
+                    d_out: w.rows(),
+                    wt: w.transpose().data().to_vec(),
+                    w: w.data().to_vec(),
+                    b: ps.get(self.biases[l]).data().to_vec(),
+                    norm: act && self.layer_norm && self.dims[l + 1] > 1,
+                    relu: act,
+                }
+            })
+            .collect();
+        FrozenMlp { layers }
+    }
+}
+
+/// One `Linear → [LayerNorm] → [ReLU]` block of a [`FrozenMlp`].
+#[derive(Clone, Debug)]
+struct FrozenLayer {
+    d_in: usize,
+    d_out: usize,
+    /// `Wᵀ`, `d_in × d_out` row-major: the forward product adds input
+    /// column `k` times row `k`.
+    wt: Vec<f64>,
+    /// `W`, `d_out × d_in` row-major: the input gradient adds output
+    /// gradient `j` times row `j`.
+    w: Vec<f64>,
+    b: Vec<f64>,
+    norm: bool,
+    relu: bool,
+}
+
+/// What one [`FrozenMlp::forward`] keeps for [`FrozenMlp::input_grad`]:
+/// each layer's ReLU input (the LayerNorm output where one is applied)
+/// and its LayerNorm inverse standard deviation.
+#[derive(Clone, Debug)]
+pub(crate) struct MlpActivations {
+    relu_in: Vec<Vec<f64>>,
+    inv_std: Vec<f64>,
+}
+
+/// Tape-free single-row twin of [`Mlp::forward`] + `Graph::backward`.
+///
+/// Every product, sum and normalisation runs in the tape's order — the
+/// products accumulate over the input index from `0.0` and skip zero
+/// inputs as `Tensor::matmul` does, LayerNorm and its gradient use the
+/// tape's expressions — so values and input gradients are bit-identical
+/// to the autodiff path. The layer-0 product can start from a
+/// [`FrozenMlp::prefix`] over leading input columns that are constant
+/// across calls.
+#[derive(Clone, Debug)]
+pub(crate) struct FrozenMlp {
+    layers: Vec<FrozenLayer>,
+}
+
+impl FrozenMlp {
+    /// Input dimensionality.
+    pub fn in_dim(&self) -> usize {
+        self.layers[0].d_in
+    }
+
+    /// Output dimensionality.
+    pub fn out_dim(&self) -> usize {
+        self.layers.last().map_or(0, |l| l.d_out)
+    }
+
+    /// Layer-0 accumulators after the leading input columns `x_head`
+    /// (empty `x_head`: zeros, the start of a plain evaluation).
+    ///
+    /// # Panics
+    /// Panics if `x_head` is wider than the input.
+    pub fn prefix(&self, x_head: &[f64]) -> Vec<f64> {
+        let l0 = &self.layers[0];
+        assert!(
+            x_head.len() <= l0.d_in,
+            "FrozenMlp::prefix: too many columns"
+        );
+        let mut acc = vec![0.0; l0.d_out];
+        l0.accumulate(&mut acc, 0, x_head);
+        acc
+    }
+
+    /// Evaluate one row whose first `in_dim − x_tail.len()` input columns
+    /// are already summed into `acc` (from [`FrozenMlp::prefix`]).
+    /// Returns the output row and the activations the gradient needs.
+    ///
+    /// # Panics
+    /// Panics if `acc` or `x_tail` has the wrong width.
+    pub fn forward(&self, mut acc: Vec<f64>, x_tail: &[f64]) -> (Vec<f64>, MlpActivations) {
+        let mut acts = MlpActivations {
+            relu_in: Vec::with_capacity(self.layers.len()),
+            inv_std: Vec::with_capacity(self.layers.len()),
+        };
+        let l0 = &self.layers[0];
+        assert_eq!(acc.len(), l0.d_out, "FrozenMlp::forward: prefix width");
+        assert!(x_tail.len() <= l0.d_in, "FrozenMlp::forward: input width");
+        l0.accumulate(&mut acc, l0.d_in - x_tail.len(), x_tail);
+        let mut x = l0.finish(acc, &mut acts);
+        for l in &self.layers[1..] {
+            let mut acc = vec![0.0; l.d_out];
+            l.accumulate(&mut acc, 0, &x);
+            x = l.finish(acc, &mut acts);
+        }
+        (x, acts)
+    }
+
+    /// Back-propagate the output gradient `g` of the [`FrozenMlp::forward`]
+    /// that recorded `acts`; returns the gradient of the last `n_tail`
+    /// input columns.
+    ///
+    /// # Panics
+    /// Panics if `n_tail` exceeds the input width.
+    pub fn input_grad(&self, acts: &MlpActivations, mut g: Vec<f64>, n_tail: usize) -> Vec<f64> {
+        assert!(n_tail <= self.in_dim(), "FrozenMlp::input_grad: n_tail");
+        for (l, layer) in self.layers.iter().enumerate().rev() {
+            let y = &acts.relu_in[l];
+            if layer.relu {
+                for (gc, &yc) in g.iter_mut().zip(y) {
+                    if yc <= 0.0 {
+                        *gc = 0.0;
+                    }
+                }
+            }
+            if layer.norm {
+                let n = layer.d_out as f64;
+                let mg = g.iter().sum::<f64>() / n;
+                let mgy = g.iter().zip(y).map(|(a, b)| a * b).sum::<f64>() / n;
+                let istd = acts.inv_std[l];
+                for (gc, &yc) in g.iter_mut().zip(y) {
+                    *gc = istd * (*gc - mg - yc * mgy);
+                }
+            }
+            let from = if l == 0 { layer.d_in - n_tail } else { 0 };
+            let mut gx = vec![0.0; layer.d_in - from];
+            for (j, &gj) in g.iter().enumerate() {
+                if gj == 0.0 {
+                    continue;
+                }
+                let wrow = &layer.w[j * layer.d_in + from..(j + 1) * layer.d_in];
+                for (o, &w) in gx.iter_mut().zip(wrow) {
+                    *o += gj * w;
+                }
+            }
+            g = gx;
+        }
+        g
+    }
+}
+
+impl FrozenLayer {
+    /// `acc += x · Wᵀ[from.., :]`, skipping zero inputs.
+    fn accumulate(&self, acc: &mut [f64], from: usize, x: &[f64]) {
+        for (k, &xk) in x.iter().enumerate() {
+            if xk == 0.0 {
+                continue;
+            }
+            let row = &self.wt[(from + k) * self.d_out..(from + k + 1) * self.d_out];
+            for (o, &w) in acc.iter_mut().zip(row) {
+                *o += xk * w;
+            }
+        }
+    }
+
+    /// Bias, LayerNorm and ReLU on a finished product.
+    fn finish(&self, mut z: Vec<f64>, acts: &mut MlpActivations) -> Vec<f64> {
+        for (v, &b) in z.iter_mut().zip(&self.b) {
+            *v += b;
+        }
+        let mut istd = 0.0;
+        if self.norm {
+            let n = self.d_out as f64;
+            let mean = z.iter().sum::<f64>() / n;
+            let var = z.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+            istd = 1.0 / (var + MLP_LN_EPS).sqrt();
+            for v in &mut z {
+                *v = (*v - mean) * istd;
+            }
+        }
+        acts.inv_std.push(istd);
+        if !self.relu {
+            acts.relu_in.push(Vec::new());
+            return z;
+        }
+        let out = z.iter().map(|&x| x.max(0.0)).collect();
+        acts.relu_in.push(z);
+        out
     }
 }
 

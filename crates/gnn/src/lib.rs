@@ -10,6 +10,10 @@
 //! `σ̂ = softplus(W_σ h + b_σ)` (Eq. 1), trained with the joint MSE loss of
 //! Eq. (2).
 //!
+//! Training runs on the autodiff tape; inference (the BO inner loop) runs
+//! through a tape-free [`SurrogateHead`] built once per matrix, which is
+//! bit-identical to the tape's forward and input gradients.
+//!
 //! The paper's HPO-selected architecture (1 EdgeConv layer, mean
 //! aggregation, 256-dim graph embedding, 1×64 FC for `x_A`, 3×16 FC for
 //! `x_M`, 2×128 combined layers) is [`SurrogateConfig::paper`]; a smaller
@@ -26,5 +30,5 @@ pub mod train;
 pub use graph_data::MatrixGraph;
 pub use layers::{ConvKind, EdgeConvLayer, GatV2Layer, GcnLayer, GineLayer, Mlp, PnaLayer};
 pub use params::{BoundParams, ParamSet};
-pub use surrogate::{Surrogate, SurrogateConfig};
+pub use surrogate::{Surrogate, SurrogateConfig, SurrogateHead};
 pub use train::{train_surrogate, GraphSample, SurrogateDataset, TrainConfig, TrainReport};

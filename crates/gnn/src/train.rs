@@ -123,11 +123,11 @@ pub struct TrainReport {
 }
 
 /// Eq.-2 loss over a set of samples, without gradient tracking.
-pub fn evaluate_loss(surrogate: &mut Surrogate, ds: &SurrogateDataset, indices: &[usize]) -> f64 {
+pub fn evaluate_loss(surrogate: &Surrogate, ds: &SurrogateDataset, indices: &[usize]) -> f64 {
     if indices.is_empty() {
         return 0.0;
     }
-    // Group by matrix to reuse embeddings.
+    // Group by matrix: one embedding and inference head per matrix.
     let mut by_matrix: Vec<Vec<usize>> = vec![Vec::new(); ds.graphs.len()];
     for &i in indices {
         by_matrix[ds.samples[i].matrix_idx].push(i);
@@ -138,10 +138,10 @@ pub fn evaluate_loss(surrogate: &mut Surrogate, ds: &SurrogateDataset, indices: 
         if rows.is_empty() {
             continue;
         }
-        let h_g = surrogate.embed_graph(&ds.graphs[m]);
+        let head = surrogate.head(&surrogate.embed_graph(&ds.graphs[m]), &ds.xa[m]);
         for &i in rows {
             let s = &ds.samples[i];
-            let (mu, sigma) = surrogate.predict(&h_g, &ds.xa[m], &s.xm);
+            let (mu, sigma) = head.predict(&s.xm);
             total += (mu - s.y_mean).powi(2) + (sigma - s.y_std).powi(2);
             count += 1;
         }
@@ -338,9 +338,9 @@ mod tests {
         train_surrogate(&mut s, &ds, cfg);
         // y grows with xm[0]: prediction at t=0.9 must exceed t=0.1 on the
         // same matrix.
-        let h_g = s.embed_graph(&ds.graphs[0]);
-        let (lo, _) = s.predict(&h_g, &ds.xa[0], &[0.1, 0.9, 0.5]);
-        let (hi, _) = s.predict(&h_g, &ds.xa[0], &[0.9, 0.1, 0.5]);
+        let head = s.head(&s.embed_graph(&ds.graphs[0]), &ds.xa[0]);
+        let (lo, _) = head.predict(&[0.1, 0.9, 0.5]);
+        let (hi, _) = head.predict(&[0.9, 0.1, 0.5]);
         assert!(
             hi > lo,
             "prediction not increasing in the signal: {lo} vs {hi}"
@@ -359,7 +359,7 @@ mod tests {
         let report = train_surrogate(&mut s, &ds, cfg);
         // Validation loss of the restored model equals the recorded best.
         let (_, val_idx) = ds.split(cfg.val_fraction, cfg.seed);
-        let vl = evaluate_loss(&mut s, &ds, &val_idx);
+        let vl = evaluate_loss(&s, &ds, &val_idx);
         assert!(
             (vl - report.best_val_loss).abs() < 1e-9,
             "restored {vl} vs best {}",

@@ -411,3 +411,106 @@ fn structured_session_runs_specialized_kernels_and_matches_free_solve() {
         }
     }
 }
+
+/// The recommender-seeded tuner, pinned to bits recorded before the
+/// surrogate's inference moved off the autodiff tape: the predicted
+/// minimum of μ̂, the EI recommendation, and the tuner report it seeds
+/// (winner, score, every trial's requested parameters and probe
+/// iterations), each at in-process pools of 1 and 8 threads. Any change to
+/// the order of the surrogate's sums moves these bits.
+#[test]
+fn recommender_and_seeded_tuner_match_golden_bits_at_1_and_8_threads() {
+    use mcmcmi::core::{
+        AutoTuner, AutotuneConfig, MeasureConfig, MeasurementRunner, PaperDataset, Recommender,
+    };
+    use mcmcmi::gnn::{SurrogateConfig, TrainConfig};
+    use mcmcmi::krylov::{SolveOptions, SolverType, TuneBudget};
+    use mcmcmi::matgen::{laplace_1d, pdd_real_sparse};
+
+    let bits = |p: McmcParams| [p.alpha.to_bits(), p.eps.to_bits(), p.delta.to_bits()];
+    const Y_MIN: u64 = 0x3fe53e4ec96a2464;
+    const RECOMMENDED: [u64; 3] = [0x3fa999999999f7df, 0x3fe05215f3dd2256, 0x3fc19ed1938db99b];
+    const EI: u64 = 0x3fbca367faf10441;
+    const WINNER: [u64; 3] = [0x4000000000000000, 0x3fe0000000000000, 0x3fd0000000000000];
+    const SCORE: u64 = 0x40f2d50000000000;
+    // (requested α, ε, δ bits, relaxed probe iterations) per trial; trial
+    // 0 is the recommendation.
+    const TRIALS: [([u64; 3], usize); 4] = [
+        (RECOMMENDED, 13),
+        (WINNER, 8),
+        (
+            [0x4010000000000000, 0x3fe0000000000000, 0x3fd0000000000000],
+            9,
+        ),
+        (
+            [0x3ffc016ddb6c8427, 0x3fb5055d272906a6, 0x3fe25aff6165b398],
+            9,
+        ),
+    ];
+
+    let matrices: Vec<(String, mcmcmi::sparse::Csr, bool)> = vec![
+        ("lap".into(), laplace_1d(16), true),
+        ("pdd".into(), pdd_real_sparse(32, 7), false),
+    ];
+    let runner = MeasurementRunner::new(MeasureConfig {
+        solve: SolveOptions {
+            tol: 1e-6,
+            max_iter: 200,
+            restart: 25,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let ds = PaperDataset::build(&runner, &matrices, 1, 0, 3);
+    let scfg = SurrogateConfig {
+        gnn_hidden: 16,
+        xa_hidden: 8,
+        xm_hidden: 8,
+        comb_hidden: 16,
+        ..SurrogateConfig::lite(mcmcmi::core::features::N_MATRIX_FEATURES, 6)
+    };
+    let tcfg = TrainConfig {
+        epochs: 12,
+        patience: 0,
+        seed: 5,
+        ..Default::default()
+    };
+    let snapshot = Recommender::fit(&ds, &matrices, scfg, tcfg).to_snapshot();
+    let target = pdd_real_sparse(48, 13);
+    for threads in [1usize, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let (y_min, (params, ei), report) = pool.install(|| {
+            let mut rec = Recommender::from_snapshot(snapshot.clone());
+            let y_min = rec.predicted_min(&target, SolverType::Gmres, 7);
+            let rec_out = rec.recommend(&target, SolverType::Gmres, y_min, 0.05, 7);
+            let mut tuner = AutoTuner::new(AutotuneConfig::default())
+                .with_recommender(Recommender::from_snapshot(snapshot.clone()));
+            let (_, report) = tuner
+                .tune_parts(&target, &TuneBudget::smoke(7))
+                .expect("the seeded tuner certifies a candidate");
+            (y_min, rec_out, report)
+        });
+        assert_eq!(y_min.to_bits(), Y_MIN, "predicted_min, {threads} threads");
+        assert_eq!(bits(params), RECOMMENDED, "recommend, {threads} threads");
+        assert_eq!(ei.to_bits(), EI, "recommend EI, {threads} threads");
+        assert_eq!(
+            bits(report.params),
+            WINNER,
+            "tuner winner, {threads} threads"
+        );
+        assert_eq!(
+            report.score.to_bits(),
+            SCORE,
+            "tuner score, {threads} threads"
+        );
+        let trail: Vec<([u64; 3], usize)> = report
+            .trials
+            .iter()
+            .map(|t| (bits(t.requested), t.probe_iters))
+            .collect();
+        assert_eq!(trail, TRIALS, "tuner trials, {threads} threads");
+    }
+}
